@@ -633,6 +633,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except mesh.MeshError as exc:
+        print(f"config error: invalid mesh: {exc}; "
+              "try a smaller --perturbation", file=sys.stderr)
+        return EXIT_CONFIG
     except solver.NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -64,13 +64,8 @@ def apply_boundary_closure(problem: Diffusion1DProblem,
     return u
 
 
-def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray,
-                frozen_nu: np.ndarray | None = None) -> np.ndarray:
-    """Numerical flux nu_{j+1/2} (u_x)_{j+1/2} at the n-1 interior faces.
-
-    With ``frozen_nu`` the face viscosity is held fixed, which makes the flux
-    linear in u (used by the defect-correction Jacobian).
-    """
+def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
+    """Numerical flux nu_{j+1/2} (u_x)_{j+1/2} at the n-1 interior faces."""
     grid = problem.grid
     x = grid.cell_centers
     xf = grid.face_coords
@@ -82,28 +77,12 @@ def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray,
     u_r = uk + gk * (xf - x[1:])
     dudx_f = face_derivative_1d(gj, gk, u_l, u_r, x[1:] - x[:-1],
                                 problem.alpha)
-    if frozen_nu is None:
-        nu = face_scalar(problem.strategy, uj ** 2, uk ** 2, u_l ** 2,
-                         u_r ** 2, x[:-1], x[1:], xf)
-    else:
-        nu = frozen_nu
+    nu = face_scalar(problem.strategy, uj ** 2, uk ** 2, u_l ** 2,
+                     u_r ** 2, x[:-1], x[1:], xf)
     return nu * dudx_f
 
 
-def face_viscosity(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
-    """Current nu_{j+1/2} values (for freezing in the Jacobian)."""
-    grid = problem.grid
-    x = grid.cell_centers
-    xf = grid.face_coords
-    gx = gradient_1d(grid, u)
-    u_l = u[:-1] + gx[:-1] * (xf - x[:-1])
-    u_r = u[1:] + gx[1:] * (xf - x[1:])
-    return face_scalar(problem.strategy, u[:-1] ** 2, u[1:] ** 2, u_l ** 2,
-                       u_r ** 2, x[:-1], x[1:], xf)
-
-
 def residual_1d(problem: Diffusion1DProblem, u: np.ndarray,
-                frozen_nu: np.ndarray | None = None,
                 with_closure: bool = True) -> np.ndarray:
     """Cell residual of the conservation law; pinned cells get zero.
 
@@ -112,7 +91,7 @@ def residual_1d(problem: Diffusion1DProblem, u: np.ndarray,
     exact discrete solution.
     """
     grid = problem.grid
-    phi = face_fluxes(problem, u, frozen_nu)
+    phi = face_fluxes(problem, u)
     res = np.zeros(grid.n_cells)
     res[:-1] -= phi
     res[1:] += phi

@@ -105,6 +105,7 @@ def study_3d():
     return records, time.time() - t0
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("strategy", STRATEGIES_3D)
 def test_3d_density_orders(study_3d, strategy):
     records, _ = study_3d
@@ -114,6 +115,7 @@ def test_3d_density_orders(study_3d, strategy):
         "outside [1.7, 2.3]")
 
 
+@pytest.mark.slow
 def test_3d_finest_errors_agree_within_5_percent(study_3d):
     records, _ = study_3d
     finest = [records[s].error_column("rho")[-1] for s in STRATEGIES_3D]
@@ -121,6 +123,7 @@ def test_3d_finest_errors_agree_within_5_percent(study_3d):
     assert spread < 0.05, f"finest density errors spread {spread:.3%}"
 
 
+@pytest.mark.slow
 def test_3d_runtime_within_budget(study_3d):
     _, wall = study_3d
     assert wall <= 15 * 60, f"3D study took {wall:.0f}s (> 15 min)"

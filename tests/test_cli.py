@@ -175,6 +175,19 @@ class TestMeshExport:
         text = out.read_text().splitlines()
         assert text[0] == "# vtk DataFile Version 2.0"
 
+    def test_degenerate_mesh_is_a_config_error(self, tmp_path, capsys):
+        # n = 5 at seed 1 and the default perturbation inverts a tet
+        out = tmp_path / "mesh.vtk"
+        rc = cli.main(["mesh-export", "--grids", "5", "--seed", "1",
+                       "--output", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:")
+        assert "non-positive volume" in err[0]
+        assert "--perturbation" in err[0]
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import root
 
 from fvvisc import diffusion1d, mesh, ns3d, solver, verify
@@ -79,12 +80,66 @@ class TestDiffusion1DSolve:
         assert len(lines) == 2 + len(hist.iterations)
 
 
+def dense_jacobian_1d(problem, u, cfl):
+    """Per-column finite-difference reference: n + 1 residual evaluations
+    into a dense matrix, converted to CSR."""
+    grid = problem.grid
+    n = grid.n_cells
+    base = diffusion1d.residual_1d(problem, u)
+    jac = np.zeros((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1e-7 * max(1.0, abs(u[j]))
+        jac[:, j] = (diffusion1d.residual_1d(problem, u + e) - base) / e[j]
+    nu_cell = np.maximum(u ** 2, 1e-3)
+    jac[np.diag_indices(n)] += nu_cell / (cfl * grid.cell_volumes)
+    jac[problem.pinned, :] = 0.0
+    jac[problem.pinned, problem.pinned] = 1.0
+    return sp.csr_matrix(jac)
+
+
+def perturbed_state(problem, seed):
+    rng = np.random.default_rng(seed)
+    ue = diffusion1d.exact_solution(problem.grid.cell_centers)
+    return diffusion1d.apply_boundary_closure(
+        problem, ue * (1.0 + 0.1 * rng.standard_normal(ue.size)))
+
+
+class TestColoredJacobian1D:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 31, 127])
+    @pytest.mark.parametrize("strategy", [
+        "lr-average", "arithmetic", "inverse-distance", "one-sided-left",
+        "one-sided-right", "weighted:0.75", "weighted:1"])
+    def test_bit_identical_to_per_column_fd(self, strategy, n):
+        p = make_1d(n=n, strategy=strategy, seed=n)
+        u = perturbed_state(p, seed=n)
+        for cfl in (10.0, 1e5):
+            got = solver._jacobian_1d(p, u, cfl)
+            ref = dense_jacobian_1d(p, u, cfl)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+    @pytest.mark.parametrize("n", [7, 127])
+    def test_one_build_costs_six_residuals(self, monkeypatch, n):
+        p = make_1d(n=n, seed=1)
+        u = perturbed_state(p, seed=1)
+        calls = []
+        original = diffusion1d.residual_1d
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion1d, "residual_1d", counted)
+        solver._jacobian_1d(p, u, 10.0)
+        assert len(calls) == 6     # base state plus one per color
+
+
 class TestLinearSolver:
     def test_gauss_seidel_matches_direct_on_diagonally_dominant(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(40, 40)) * 0.1
         np.fill_diagonal(a, 5.0 + rng.uniform(0, 1, 40))
-        import scipy.sparse as sp
         rhs = rng.normal(size=40)
         direct = solver._LinearSolver(sp.csr_matrix(a), 0).solve(rhs)
         gs = solver._LinearSolver(sp.csr_matrix(a), 60).solve(rhs)
