@@ -2,24 +2,30 @@
 
 Subcommands: study-1d, study-1d-omega, study-3d, solve, mesh-export,
 selftest.  Configuration is layered with precedence CLI flag > environment
-(FVVISC_ prefix) > config file > built-in default; the effective config is
-written next to the study output so any run can be reproduced from its
-artifacts.  Exit codes: 0 success, 2 config error, 3 solver non-convergence,
+(FVVISC_ prefix) > config file > built-in default, and a flag that sets a
+config key is parsed like its config-file value; the effective config is
+written next to the output so any run can be reproduced from its
+artifacts.  The studies and ``solve`` read ``PROBLEMS``: per model problem,
+its config and solver defaults, variables, order band, and how to run a
+study or build and solve one grid.
+Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 acceptance-band violation under --check-orders.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import logging
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
-from . import diffusion1d, mesh, ns3d, physics, recon, solver, verify
-
-log = logging.getLogger(__name__)
+from . import (diffusion1d, invariants, mesh, ns3d, physics, recon, solver,
+               verify)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,7 +43,8 @@ ENV_PREFIX = "FVVISC_"
 DEFAULT_SEED = 2604
 
 # Flat dotted-key schema: key -> (type tag, default).  Type tags:
-# int, float, bool, str, int-list, float-list, str-list.
+# int, float, bool, str, int-list, float-list, str-list.  The defaults are
+# those of the diffusion1d problem; PROBLEMS overrides them per problem.
 CONFIG_SCHEMA = {
     "problem": ("str", "diffusion1d"),
     "grids": ("int-list", list(verify.GRID_SIZES_1D)),
@@ -76,29 +83,22 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def _parse_value(key: str, raw: str):
-    kind = CONFIG_SCHEMA[key][0]
-    raw = raw.strip()
+    kind, _, is_list = CONFIG_SCHEMA[key][0].partition("-")
+    parse = {"int": int, "float": float, "bool": _parse_bool, "str": str}[kind]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "int-list":
-            return [int(v) for v in raw.split(",") if v.strip()]
-        if kind == "float-list":
-            return [float(v) for v in raw.split(",") if v.strip()]
-        if kind == "str-list":
-            return [v.strip() for v in raw.split(",") if v.strip()]
-        return raw
+        if is_list:
+            return [parse(v.strip()) for v in raw.split(",") if v.strip()]
+        return parse(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _format_value(key: str, value) -> str:
@@ -133,10 +133,7 @@ def parse_config_file(path: str) -> dict:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if raw == "":
-            overrides[key] = None
-        else:
-            overrides[key] = _parse_value(key, raw)
+        overrides[key] = _parse_value(key, raw) if raw else None
     return overrides
 
 
@@ -177,31 +174,68 @@ def write_effective_config(cfg: dict, path: str) -> None:
             f.write(f"{key} = {_format_value(key, cfg[key])}\n")
 
 
-def _strategies_from_config(cfg: dict) -> list:
-    try:
-        return [recon.Strategy.from_name(name) for name in cfg["strategies"]]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _solver_config(cfg: dict, **defaults) -> solver.SolverConfig:
-    """SolverConfig from solver.* keys; unset keys fall back to defaults."""
-    kwargs = dict(defaults)
-    for key, value in cfg.items():
-        if key.startswith("solver.") and value is not None:
-            kwargs[key.split(".", 1)[1]] = value
-    try:
-        return solver.SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _flow_config(cfg: dict) -> physics.FlowConfig:
     return physics.FlowConfig(
         mach=cfg["flow.mach"], reynolds=cfg["flow.reynolds"],
         t_ref=cfg["flow.t_ref"], sutherland_c=cfg["flow.sutherland_c"],
         gamma=cfg["flow.gamma"], prandtl=cfg["flow.prandtl"],
         alpha=cfg["alpha"])
+
+
+# ---------------------------------------------------------------------------
+# Model problems
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Problem:
+    """A model problem as the studies and ``solve`` see it."""
+
+    defaults: dict          # config defaults over CONFIG_SCHEMA's
+    solver_defaults: solver.SolverConfig
+    var_names: tuple        # orders are checked on the first
+    half_width: float       # --check-orders band around the nominal order
+    study: Callable         # verify.run_study_*
+    study_args: Callable    # cfg -> the problem's own study arguments
+    build: Callable         # (cfg, strategy) -> (problem, exact solution)
+    solve: Callable         # solver.solve_*
+
+
+def _build_1d(cfg, strategy):
+    grid = mesh.generate_grid_1d(cfg["grids"][0], regular=cfg["regular"],
+                                 perturbation=cfg["perturbation"],
+                                 seed=cfg["seed"])
+    return (diffusion1d.Diffusion1DProblem(grid, strategy, alpha=cfg["alpha"]),
+            diffusion1d.exact_solution(grid.cell_centers))
+
+
+def _build_3d(cfg, strategy):
+    m = mesh.generate_tet_mesh(cfg["grids"][0],
+                               perturbation=cfg["perturbation"],
+                               seed=cfg["seed"])
+    problem = ns3d.NS3DProblem(m, strategy, _flow_config(cfg))
+    return problem, problem.exact
+
+
+PROBLEMS = {
+    "diffusion1d": Problem(
+        defaults={}, solver_defaults=solver.SolverConfig(),
+        var_names=verify.VAR_NAMES_1D, half_width=0.2,
+        study=verify.run_study_1d,
+        study_args=lambda cfg: {"regular": cfg["regular"],
+                                "alpha": cfg["alpha"]},
+        build=_build_1d, solve=solver.solve_diffusion_1d),
+    # Perturbation 0.1: the 1D default 0.3 inverts tets at n = 11.
+    "ns3d": Problem(
+        defaults={"grids": list(verify.GRID_SIZES_3D),
+                  "strategies": ["lr-average", "arithmetic",
+                                 "inverse-distance"],
+                  "perturbation": 0.1},
+        solver_defaults=solver.NS3D_CONFIG,
+        var_names=verify.VAR_NAMES_3D, half_width=0.3,
+        study=verify.run_study_3d,
+        study_args=lambda cfg: {"flow_cfg": _flow_config(cfg)},
+        build=_build_3d, solve=solver.solve_ns3d),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -272,113 +306,71 @@ def _print_summary(records: dict, variable=0) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_study_1d(args) -> int:
-    cfg = build_config(_cli_overrides(args), args.config)
-    strategies = _strategies_from_config(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg["out_dir"],
-                                             "effective_config.cfg"))
-    records = verify.run_study_1d(
-        strategies, sizes=cfg["grids"], regular=cfg["regular"],
-        perturbation=cfg["perturbation"], seed=cfg["seed"],
-        alpha=cfg["alpha"], solver_cfg=_solver_config(cfg),
-        volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"])
-    _print_summary(records)
-    return _study_exit(records, args, half_width=0.2)
-
-
-def cmd_study_1d_omega(args) -> int:
-    overrides = _cli_overrides(args)
-    cfg = build_config(overrides, args.config)
-    if overrides.get("strategies") is None:
+def _prepare(args, problem: str, omega_sweep: bool = False):
+    """Layered config, strategies and solver config of one problem run,
+    validated before the effective config is written.  The omega sweep
+    runs weighted:<omega> for each omega unless a layer sets strategies."""
+    omega_defaults = {"strategies": None} if omega_sweep else {}
+    entry = PROBLEMS[problem]
+    cfg = build_config(_cli_overrides(args), args.config,
+                       {"problem": problem, **entry.defaults,
+                        **omega_defaults})
+    if omega_sweep and cfg["strategies"] is None:
         cfg["strategies"] = [f"weighted:{w:g}" for w in cfg["omegas"]]
-    strategies = _strategies_from_config(cfg)
+    solver_keys = {key.split(".", 1)[1]: value for key, value in cfg.items()
+                   if key.startswith("solver.") and value is not None}
+    try:
+        strategies = [recon.Strategy.from_name(n) for n in cfg["strategies"]]
+        solver_cfg = dataclasses.replace(entry.solver_defaults, **solver_keys)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(cfg["out_dir"], exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg["out_dir"],
                                              "effective_config.cfg"))
-    records = verify.run_study_1d(
-        strategies, sizes=cfg["grids"], regular=cfg["regular"],
-        perturbation=cfg["perturbation"], seed=cfg["seed"],
-        alpha=cfg["alpha"], solver_cfg=_solver_config(cfg),
-        volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"])
-    _print_summary(records)
-    # Tighter band for the second-order omega (the paper's central claim).
-    half = 0.1 if all(_nominal_order(s.name) == 2.0 for s in strategies) \
-        else 0.2
-    return _study_exit(records, args, half_width=half)
+    return cfg, strategies, solver_cfg
 
 
-def cmd_study_3d(args) -> int:
-    defaults = {
-        "problem": "ns3d",
-        "grids": list(verify.GRID_SIZES_3D),
-        "strategies": ["lr-average", "arithmetic", "inverse-distance"],
-        "perturbation": 0.1,
-    }
-    cfg = build_config(_cli_overrides(args), args.config, defaults)
-    if args.full:
-        cfg["grids"] = [7, 11, 15, 23, 31]
-    strategies = _strategies_from_config(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg["out_dir"],
-                                             "effective_config.cfg"))
-    records = verify.run_study_3d(
+def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
+    """Convergence study of one problem; an omega sweep whose strategies
+    are all second order is checked in the tighter band +/-0.1 (the
+    paper's central claim)."""
+    entry = PROBLEMS[problem]
+    cfg, strategies, solver_cfg = _prepare(args, problem, omega_sweep)
+    records = entry.study(
         strategies, sizes=cfg["grids"], perturbation=cfg["perturbation"],
-        seed=cfg["seed"], flow_cfg=_flow_config(cfg),
-        solver_cfg=_solver_config(cfg, target_drop=7.0, linear_sweeps=30,
-                                  jacobian_lag=8),
-        volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"])
-    _print_summary(records, variable="rho")
-    return _study_exit(records, args, half_width=0.3, variable="rho")
+        seed=cfg["seed"], solver_cfg=solver_cfg,
+        volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"],
+        **entry.study_args(cfg))
+    variable = entry.var_names[0]
+    _print_summary(records, variable)
+    half = entry.half_width
+    if omega_sweep and all(_nominal_order(s.name) == 2.0 for s in strategies):
+        half = 0.1
+    return _study_exit(records, args, half, variable)
 
 
 def cmd_solve(args) -> int:
-    cfg = build_config(_cli_overrides(args), args.config)
-    strategy = _strategies_from_config(cfg)[0]
-    n = cfg["grids"][0]
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg["out_dir"],
-                                             "effective_config.cfg"))
-    if cfg["problem"] == "diffusion1d":
-        grid = mesh.generate_grid_1d(n, regular=cfg["regular"],
-                                     perturbation=cfg["perturbation"],
-                                     seed=cfg["seed"])
-        problem = diffusion1d.Diffusion1DProblem(grid, strategy,
-                                                 alpha=cfg["alpha"])
-        var_names = verify.VAR_NAMES_1D
-        try:
-            u, history = solver.solve_diffusion_1d(
-                problem, _solver_config(cfg))
-        except solver.NonConvergenceError as exc:
-            exc.history.write_csv(os.path.join(cfg["out_dir"], "history.csv"),
-                                  var_names)
-            print(f"solver did not converge: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
-        err = verify.l1_error(u, diffusion1d.exact_solution(grid.cell_centers))
-    elif cfg["problem"] == "ns3d":
-        m = mesh.generate_tet_mesh(n, perturbation=cfg["perturbation"],
-                                   seed=cfg["seed"])
-        problem = ns3d.NS3DProblem(m, strategy, _flow_config(cfg))
-        var_names = verify.VAR_NAMES_3D
-        try:
-            u, history = solver.solve_ns3d(
-                problem, _solver_config(cfg, target_drop=7.0,
-                                        linear_sweeps=30, jacobian_lag=8))
-        except solver.NonConvergenceError as exc:
-            exc.history.write_csv(os.path.join(cfg["out_dir"], "history.csv"),
-                                  var_names)
-            print(f"solver did not converge: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
-        err = verify.l1_error(u, problem.exact)
-    else:
-        raise ConfigError(
-            f"unknown problem {cfg['problem']!r}; valid: diffusion1d, ns3d")
-    history.write_csv(os.path.join(cfg["out_dir"], "history.csv"), var_names)
+    problem = build_config(_cli_overrides(args), args.config)["problem"]
+    if problem not in PROBLEMS:
+        raise ConfigError(f"unknown problem {problem!r}; "
+                          f"valid: {', '.join(PROBLEMS)}")
+    entry = PROBLEMS[problem]
+    cfg, strategies, solver_cfg = _prepare(args, problem)
+    history_path = os.path.join(cfg["out_dir"], "history.csv")
+    built, exact = entry.build(cfg, strategies[0])
+    try:
+        u, history = entry.solve(built, solver_cfg)
+    except solver.NonConvergenceError as exc:
+        exc.history.write_csv(history_path, entry.var_names)
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    history.write_csv(history_path, entry.var_names)
     np.savetxt(os.path.join(cfg["out_dir"], "solution.csv"),
                np.atleast_2d(np.asarray(u).T).T, delimiter=",",
-               header=",".join(var_names))
-    print("l1 errors: " + " ".join(f"{v}={e:.6e}"
-                                   for v, e in zip(var_names, err)))
+               header=",".join(entry.var_names))
+    print("l1 errors: " + " ".join(
+        f"{v}={e:.6e}" for v, e in zip(entry.var_names,
+                                       verify.l1_error(u, exact))))
     return EXIT_OK
 
 
@@ -397,22 +389,10 @@ def cmd_mesh_export(args) -> int:
 def cmd_selftest(args) -> int:
     """Solver-free invariant suite; prints pass/fail per check."""
     del args
-    checks = [
-        ("geometric closure", _check_closure),
-        ("volume partition", _check_volume),
-        ("lsq gradient linear exactness", _check_lsq_exactness),
-        ("roe flux consistency", _check_roe_consistency),
-        ("free-stream preservation", _check_free_stream),
-        ("weighted(0.5) equals arithmetic", _check_weighted_equiv),
-        ("inverse-distance equal-spacing equals arithmetic", _check_idw_equiv),
-        ("arithmetic average boundedness", _check_bounded),
-        ("sutherland reference viscosity", _check_sutherland),
-        ("forcing matches flux divergence", _check_forcing),
-    ]
     failures = 0
-    for name, fn in checks:
+    for name, check in invariants.CHECKS:
         try:
-            fn()
+            check()
             print(f"PASS {name}")
         except AssertionError as exc:
             failures += 1
@@ -420,161 +400,36 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def _selftest_mesh():
-    return mesh.generate_tet_mesh(3, perturbation=0.2, seed=4)
-
-
-def _check_closure():
-    m = _selftest_mesh()
-    r = float(np.max(mesh.closure_residual(m)))
-    assert r < 1e-12, f"closure residual {r:.3e}"
-
-
-def _check_volume():
-    m = _selftest_mesh()
-    total = m.cell_volume.sum()
-    assert abs(total - 0.5 ** 3) < 1e-12, f"volume sum {total!r}"
-
-
-def _check_lsq_exactness():
-    m = _selftest_mesh()
-    coef = np.array([0.7, -1.3, 2.1])
-    phi = m.cell_centroid @ coef + 0.4
-    g = recon.lsq_gradient_3d(m, phi[:, None])[:, 0, :]
-    err = np.abs(g - coef).max()
-    assert err < 1e-12, f"gradient error {err:.3e}"
-
-
-def _check_roe_consistency():
-    cfg = physics.FlowConfig()
-    w = np.array([[1.05, 0.3, 0.2, 0.1, 1.1]])
-    nhat = np.array([[0.6, 0.64, 0.48]])
-    nhat = nhat / np.linalg.norm(nhat)
-    f = physics.roe_flux(w, w, nhat, cfg)
-    exact = physics.inviscid_normal_flux(w, nhat, cfg)
-    err = np.abs(f - exact).max()
-    assert err < 1e-13, f"roe consistency error {err:.3e}"
-
-
-def _check_free_stream():
-    m = _selftest_mesh()
-    cfg = physics.FlowConfig()
-    strategy = recon.Strategy.from_name("arithmetic")
-    problem = ns3d.NS3DProblem(m, strategy, cfg)
-    w = np.tile([1.0, 0.3, 0.2, 0.1, 1.0], (m.n_cells, 1))
-    res = ns3d.residual_ns3d(problem, w, include_forcing=False)
-    err = np.abs(res).max()
-    assert err < 1e-13, f"free-stream residual {err:.3e}"
-
-
-def _check_weighted_equiv():
-    a = recon.face_scalar(recon.Strategy("weighted", 0.5),
-                          2.0, 3.0, 2.4, 2.6, 0.0, 1.0, 0.45)
-    b = recon.face_scalar(recon.Strategy("arithmetic"),
-                          2.0, 3.0, 2.4, 2.6, 0.0, 1.0, 0.45)
-    assert abs(a - b) < 1e-15, f"|weighted(0.5) - arithmetic| = {abs(a - b)}"
-
-
-def _check_idw_equiv():
-    a = recon.face_scalar(recon.Strategy("inverse-distance"),
-                          2.0, 3.0, 2.4, 2.6, 0.0, 1.0, 0.5)
-    b = recon.face_scalar(recon.Strategy("arithmetic"),
-                          2.0, 3.0, 2.4, 2.6, 0.0, 1.0, 0.5)
-    assert abs(a - b) < 1e-15, f"|idw - arithmetic| = {abs(a - b)}"
-
-
-def _check_bounded():
-    rng = np.random.default_rng(11)
-    t_j, t_k = rng.uniform(0.5, 2.0, (2, 64))
-    f = recon.face_scalar(recon.Strategy("arithmetic"), t_j, t_k,
-                          t_j, t_k, 0.0, 1.0, 0.5)
-    lo = np.minimum(t_j, t_k) - 1e-15
-    hi = np.maximum(t_j, t_k) + 1e-15
-    assert np.all((f >= lo) & (f <= hi)), "arithmetic average out of bounds"
-    assert np.all(f > 0.0), "arithmetic average not positive"
-
-
-def _check_sutherland():
-    cfg = physics.FlowConfig()
-    mu = physics.sutherland_viscosity(np.array([1.0]), cfg)[0]
-    expect = cfg.mach / cfg.reynolds
-    assert mu == expect, f"mu(1) = {mu!r}, expected {expect!r}"
-
-
-def _check_forcing():
-    cfg = physics.FlowConfig()
-    rng = np.random.default_rng(23)
-    pts = rng.uniform(0.05, 0.45, (20, 3))
-    f = ns3d.mms_forcing(pts, cfg)
-    fd = _fd_flux_divergence(pts, cfg)
-    rel = np.abs(f - fd).max() / np.abs(f).max()
-    assert rel < 1e-7, f"forcing relative error {rel:.3e}"
-
-
-def _fd_flux_divergence(pts, cfg, h=1e-3):
-    div = np.zeros((len(pts), 5))
-    for d in range(3):
-        for s, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-            q = pts.copy()
-            q[:, d] += s * h
-            div += c / (12.0 * h) * ns3d.mms_total_flux(q, cfg)[:, d, :]
-    return div
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
 def _cli_overrides(args) -> dict:
-    """Map parsed CLI flags onto config keys (None = not given)."""
-    overrides = {
-        "grids": args.grids,
-        "strategies": args.strategies,
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-        "perturbation": args.perturbation,
-        "problem": getattr(args, "problem", None),
-        "omegas": getattr(args, "omegas", None),
-        "alpha": getattr(args, "alpha", None),
-    }
-    if args.regular:
-        overrides["regular"] = True
-    if getattr(args, "volume_weighted", False):
-        overrides["volume_weighted"] = True
+    """Config values of the given flags and --set pairs (--set wins)."""
+    raw = {key: getattr(args, key.replace(".", "_"), None)
+           for key in CONFIG_SCHEMA}
     for pair in args.set or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, raw = (s.strip() for s in pair.split("=", 1))
+        key, value = (s.strip() for s in pair.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        overrides[key] = _parse_value(key, raw)
-    return overrides
-
-
-def _int_list(raw):
-    return [int(v) for v in raw.split(",") if v.strip()]
-
-
-def _float_list(raw):
-    return [float(v) for v in raw.split(",") if v.strip()]
-
-
-def _str_list(raw):
-    return [v.strip() for v in raw.split(",") if v.strip()]
+        raw[key] = value
+    return {key: _parse_value(key, value) for key, value in raw.items()
+            if value is not None}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--grids", type=_int_list, help="comma-separated sizes")
-    p.add_argument("--strategies", type=_str_list,
-                   help="comma-separated strategy names")
-    p.add_argument("--regular", action="store_true",
+    p.add_argument("--grids", help="comma-separated sizes")
+    p.add_argument("--strategies", help="comma-separated strategy names")
+    p.add_argument("--regular", action="store_const", const="true",
                    help="regular (unperturbed) grids")
-    p.add_argument("--seed", type=int, help="grid-perturbation seed")
-    p.add_argument("--perturbation", type=float,
+    p.add_argument("--seed", help="grid-perturbation seed")
+    p.add_argument("--perturbation",
                    help="relative node-perturbation amplitude")
     p.add_argument("--out-dir", help="output directory")
-    p.add_argument("--volume-weighted", action="store_true",
+    p.add_argument("--volume-weighted", action="store_const", const="true",
                    help="volume-weighted L1 error norm")
     p.add_argument("--check-orders", action="store_true",
                    help="exit 4 if finest-pair orders leave the nominal bands")
@@ -591,27 +446,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study-1d", help="1D nonlinear-diffusion study")
     _add_common(p)
-    p.add_argument("--alpha", type=float, help="face-gradient damping")
-    p.set_defaults(fn=cmd_study_1d)
+    p.add_argument("--alpha", help="face-gradient damping")
+    p.set_defaults(fn=functools.partial(cmd_study, problem="diffusion1d"))
 
     p = sub.add_parser("study-1d-omega",
                        help="1D weighted-average omega sweep")
     _add_common(p)
-    p.add_argument("--omegas", type=_float_list,
-                   help="comma-separated left weights")
-    p.add_argument("--alpha", type=float, help="face-gradient damping")
-    p.set_defaults(fn=cmd_study_1d_omega)
+    p.add_argument("--omegas", help="comma-separated left weights")
+    p.add_argument("--alpha", help="face-gradient damping")
+    p.set_defaults(fn=functools.partial(cmd_study, problem="diffusion1d",
+                                        omega_sweep=True))
 
     p = sub.add_parser("study-3d", help="3D Navier-Stokes MMS study")
     _add_common(p)
-    p.add_argument("--full", action="store_true",
-                   help="use the full grid family {7,11,15,23,31}")
-    p.set_defaults(fn=cmd_study_3d)
+    p.set_defaults(fn=functools.partial(cmd_study, problem="ns3d"))
 
     p = sub.add_parser("solve", help="single run with iteration history")
     _add_common(p)
-    p.add_argument("--problem", choices=("diffusion1d", "ns3d"))
-    p.add_argument("--alpha", type=float, help="face-gradient damping")
+    p.add_argument("--problem", choices=tuple(PROBLEMS))
+    p.add_argument("--alpha", help="face-gradient damping")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("mesh-export", help="write a tet mesh as legacy VTK")
@@ -620,14 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mesh_export)
 
     p = sub.add_parser("selftest", help="solver-free invariant suite")
-    p.set_defaults(fn=cmd_selftest, check_orders=False)
+    p.set_defaults(fn=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -637,9 +489,6 @@ def main(argv=None) -> int:
         print(f"config error: invalid mesh: {exc}; "
               "try a smaller --perturbation", file=sys.stderr)
         return EXIT_CONFIG
-    except solver.NonConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -44,34 +44,6 @@ class FlowConfig:
             raise ValueError("gamma must exceed 1")
 
 
-@dataclass(frozen=True)
-class PrimitiveState:
-    """Per-cell primitive variables packed as an (N, 5) array.
-
-    Columns: rho, u, v, w, T.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[1] != 5:
-            raise InvalidStateError("expected an (N, 5) primitive array")
-        if np.any(self.data[:, 0] <= 0.0) or np.any(self.data[:, 4] <= 0.0):
-            raise InvalidStateError("density and temperature must be positive")
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.data[:, 0]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.data[:, 1:4]
-
-    @property
-    def temperature(self) -> np.ndarray:
-        return self.data[:, 4]
-
-
 def pressure(w: np.ndarray, cfg: FlowConfig) -> np.ndarray:
     return w[..., 0] * w[..., 4] / cfg.gamma
 

@@ -158,7 +158,7 @@ def run_study_1d(strategies, sizes=GRID_SIZES_1D, regular: bool = False,
     solution branch across the family.
     """
     if solver_cfg is None:
-        solver_cfg = solver.SolverConfig(target_drop=8.0)
+        solver_cfg = solver.SolverConfig()
     records = {}
     for strat in _as_strategies(strategies):
         rec = ConvergenceRecord(strat.name, VAR_NAMES_1D)
@@ -202,8 +202,7 @@ def run_study_3d(strategies, sizes=GRID_SIZES_3D, perturbation: float = 0.1,
     if flow_cfg is None:
         flow_cfg = FlowConfig()
     if solver_cfg is None:
-        solver_cfg = solver.SolverConfig(target_drop=7.0, linear_sweeps=30,
-                                         jacobian_lag=8)
+        solver_cfg = solver.NS3D_CONFIG
     meshes = {n: generate_tet_mesh(n, perturbation=perturbation, seed=seed + n)
               for n in sizes}
     records = {}

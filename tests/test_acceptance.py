@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from fvvisc import diffusion1d, mesh, ns3d, physics, recon, verify
+from fvvisc import invariants, mesh, recon, verify
 from fvvisc.recon import Strategy
 
 SEED = 2604      # default study seed; see fvvisc.cli.DEFAULT_SEED
@@ -130,104 +130,35 @@ def test_3d_runtime_within_budget(study_3d):
 
 
 # ---------------------------------------------------------------------------
-# Criterion 4: MMS forcing oracle
+# Criteria 4 (MMS forcing oracle) and 5 (property suite, no solver): the
+# checks of fvvisc.invariants, which `fvvisc selftest` also runs
 # ---------------------------------------------------------------------------
 
-def test_forcing_oracle_100_points():
-    cfg = physics.FlowConfig()
-    rng = np.random.default_rng(2024)
-    pts = rng.uniform(0.05, 0.45, (100, 3))
-    forcing = ns3d.mms_forcing(pts, cfg)
-    h = 1e-3
-    fd = np.zeros((100, 5))
-    for d in range(3):
-        for s, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-            q = pts.copy()
-            q[:, d] += s * h
-            fd += c / (12.0 * h) * ns3d.mms_total_flux(q, cfg)[:, d, :]
-    rel = np.abs(forcing - fd).max() / np.abs(forcing).max()
-    assert rel < 1e-7, f"forcing vs FD flux divergence: {rel:.3e} relative"
+def _invariants(*names):
+    checks = dict(invariants.CHECKS)
+
+    def test():
+        for name in names:
+            checks[name]()
+    return test
 
 
-# ---------------------------------------------------------------------------
-# Criterion 5: property suite (no solver involved)
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def tet():
-    return mesh.generate_tet_mesh(3, perturbation=0.2, seed=4)
-
-
-def test_lsq_gradient_linear_exactness(tet):
-    coef = np.array([0.7, -1.3, 2.1])
-    phi = tet.cell_centroid @ coef + 0.4
-    g = recon.lsq_gradient_3d(tet, phi[:, None])[:, 0, :]
-    assert np.abs(g - coef).max() < 1e-12
-
-
-def test_roe_flux_consistency():
-    cfg = physics.FlowConfig()
-    rng = np.random.default_rng(77)
-    w = np.column_stack([rng.uniform(0.8, 1.2, 32),
-                         rng.uniform(-0.3, 0.3, 32),
-                         rng.uniform(-0.3, 0.3, 32),
-                         rng.uniform(-0.3, 0.3, 32),
-                         rng.uniform(0.8, 1.2, 32)])
-    nhat = rng.normal(size=(32, 3))
-    nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
-    f = physics.roe_flux(w, w, nhat, cfg)
-    exact = physics.inviscid_normal_flux(w, nhat, cfg)
-    scale = np.abs(exact).max()
-    assert np.abs(f - exact).max() / scale < 1e-13
-
-
-def test_free_stream_preservation(tet):
-    problem = ns3d.NS3DProblem(tet, Strategy.from_name("arithmetic"))
-    w = np.tile([1.0, 0.3, 0.2, 0.1, 1.0], (tet.n_cells, 1))
-    res = ns3d.residual_ns3d(problem, w, include_forcing=False)
-    assert np.abs(res).max() < 1e-13
-
-
-def test_geometric_closure_and_volume_partition(tet):
-    closure = float(np.max(mesh.closure_residual(tet)))
-    assert closure < 1e-12
-    assert abs(tet.cell_volume.sum() - 0.5 ** 3) < 1e-12 * 0.5 ** 3
-
-
-def test_weighted_half_equals_arithmetic():
-    rng = np.random.default_rng(5)
-    t_j, t_k, t_l, t_r = rng.uniform(0.5, 2.0, (4, 64))
-    a = recon.face_scalar(Strategy("weighted", 0.5),
-                          t_j, t_k, t_l, t_r, 0.0, 1.0, 0.45)
-    b = recon.face_scalar(Strategy("arithmetic"),
-                          t_j, t_k, t_l, t_r, 0.0, 1.0, 0.45)
-    assert np.abs(a - b).max() < 1e-15
-
-
-def test_inverse_distance_equal_spacing_equals_arithmetic():
-    rng = np.random.default_rng(6)
-    t_j, t_k, t_l, t_r = rng.uniform(0.5, 2.0, (4, 64))
-    a = recon.face_scalar(Strategy("inverse-distance"),
-                          t_j, t_k, t_l, t_r, 0.0, 1.0, 0.5)
-    b = recon.face_scalar(Strategy("arithmetic"),
-                          t_j, t_k, t_l, t_r, 0.0, 1.0, 0.5)
-    assert np.abs(a - b).max() < 1e-15
-
-
-def test_arithmetic_boundedness_and_positivity():
-    rng = np.random.default_rng(7)
-    t_j, t_k = rng.uniform(0.1, 3.0, (2, 256))
-    f = recon.face_scalar(Strategy("arithmetic"), t_j, t_k, t_j, t_k,
-                          0.0, 1.0, 0.5)
-    assert np.all(f >= np.minimum(t_j, t_k))
-    assert np.all(f <= np.maximum(t_j, t_k))
-    assert np.all(f > 0.0)
-
-
-def test_sutherland_reference_value_exact():
-    cfg = physics.FlowConfig()
-    mu = physics.sutherland_viscosity(np.array([1.0]), cfg)[0]
-    assert mu == cfg.mach / cfg.reynolds
+test_forcing_oracle_100_points = _invariants(
+    "forcing matches flux divergence")
+test_lsq_gradient_linear_exactness = _invariants(
+    "lsq gradient linear exactness")
+test_roe_flux_consistency = _invariants("roe flux consistency")
+test_free_stream_preservation = _invariants("free-stream preservation")
+test_geometric_closure_and_volume_partition = _invariants(
+    "geometric closure", "volume partition")
+test_weighted_half_equals_arithmetic = _invariants(
+    "weighted(0.5) equals arithmetic")
+test_inverse_distance_equal_spacing_equals_arithmetic = _invariants(
+    "inverse-distance equal-spacing equals arithmetic")
+test_arithmetic_boundedness_and_positivity = _invariants(
+    "arithmetic average boundedness")
+test_sutherland_reference_value_exact = _invariants(
+    "sutherland reference viscosity")
 
 
 # ---------------------------------------------------------------------------

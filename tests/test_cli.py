@@ -111,10 +111,15 @@ class TestMainExitCodes:
                        "--grids", "7,11", "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_CONFIG
 
-    def test_bad_set_key_exits_2(self, tmp_path):
-        rc = cli.main(["study-1d", "--set", "bogus=1",
-                       "--out-dir", str(tmp_path)])
-        assert rc == cli.EXIT_CONFIG
+    def test_bad_set_key_exits_2(self, tmp_path, capsys):
+        # a malformed dedicated flag is a config error like a bad --set
+        for argv, message in ((["--set", "bogus=1"], "unknown config key"),
+                              (["--grids", "7,x"], "bad value for grids")):
+            rc = cli.main(["study-1d", *argv, "--out-dir", str(tmp_path)])
+            assert rc == cli.EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"config error: {message}")
 
     def test_bad_solver_value_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--set", "solver.max_iterations=0",
@@ -135,6 +140,15 @@ class TestMainExitCodes:
                        "--grids", "31,47,63", "--check-orders",
                        "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_OK
+
+    def test_omega_sweep_takes_strategies_from_the_environment(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FVVISC_STRATEGIES", "arithmetic")
+        rc = cli.main(["study-1d-omega", "--regular", "--grids", "7,11",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        tables = {p.name for p in tmp_path.glob("study-1d_*.csv")}
+        assert tables == {"study-1d_arithmetic.csv", "study-1d_summary.csv"}
 
     def test_order_band_violation_exits_4(self, tmp_path):
         # seed 1 is a known grid pair whose coarse pre-asymptotic order
@@ -165,6 +179,23 @@ class TestSolveArtifacts:
         sol = np.loadtxt(tmp_path / "solution.csv", delimiter=",",
                          skiprows=1)
         assert sol.shape == (6 * 27, 5)
+
+    @pytest.mark.parametrize("argv,env,perturbation", [
+        ([], {}, "0.1"),
+        (["--perturbation", "0.05"], {}, "0.05"),
+        ([], {"FVVISC_PERTURBATION": "0.05"}, "0.05"),
+    ])
+    def test_solve_ns3d_defaults_to_the_ns3d_perturbation(
+            self, tmp_path, monkeypatch, argv, env, perturbation):
+        # the 1D default 0.3 inverts tets at n = 11 (a config error, exit 2)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        rc = cli.main(["solve", "--problem", "ns3d", "--grids", "11", *argv,
+                       "--set", "solver.max_iterations=1",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_NONCONVERGENCE
+        cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
+        assert f"perturbation = {perturbation}" in cfg
 
 
 class TestMeshExport:

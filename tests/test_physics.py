@@ -49,12 +49,6 @@ class TestStateConversions:
         w = np.array([[1.2, 0.0, 0.0, 0.0, 0.7]])
         assert abs(physics.pressure(w, CFG)[0] - 1.2 * 0.7 / 1.4) < 1e-15
 
-    def test_primitive_state_validation(self):
-        with pytest.raises(physics.InvalidStateError):
-            physics.PrimitiveState(np.array([[1.0, 0.0, 0.0, 0.0, -1.0]]))
-        with pytest.raises(physics.InvalidStateError):
-            physics.PrimitiveState(np.zeros(5))
-
 
 class TestSutherland:
     def test_reference_value_exact(self):
