@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import (diffusion1d, invariants, mesh, ns3d, physics, recon, solver,
-               verify)
+from . import diffusion1d, invariants, mesh, ns3d, recon, solver, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,12 +33,11 @@ EXIT_ORDER_BAND = 4
 
 ENV_PREFIX = "FVVISC_"
 
-#: Default seed for irregular-grid studies.  Order measurement on a single
-#: irregular-grid family is seed-sensitive (the error constant responds to
-#: the particular node perturbations, especially for the first-order
-#: one-sided strategies); this seed gives a family whose finest-pair orders
-#: sit well inside the nominal bands for every strategy that has a
-#: discrete solution.
+#: Default seed for irregular-grid studies.  Each level draws its own node
+#: perturbation, so single-family orders are seed-sensitive.  This seed was
+#: picked so that the finest pair of the default 1D family lands in band
+#: for every strategy that has a discrete solution; global slopes and other
+#: pairwise orders scatter far outside (see ROADMAP item 3 on ensembles).
 DEFAULT_SEED = 2604
 
 # Flat dotted-key schema: key -> (type tag, default).  Type tags:
@@ -52,26 +50,17 @@ CONFIG_SCHEMA = {
     "strategies": ("str-list", ["lr-average", "inverse-distance",
                                 "arithmetic", "one-sided-left",
                                 "one-sided-right"]),
-    "omegas": ("float-list", [0.5, 0.6, 0.75, 1.0]),
     "perturbation": ("float", 0.3),
     "seed": ("int", DEFAULT_SEED),
-    "alpha": ("float", recon.ALPHA_DEFAULT),
     "out_dir": ("str", "out"),
     "volume_weighted": ("bool", False),
-    "flow.mach": ("float", 0.1),
-    "flow.reynolds": ("float", 0.1),
-    "flow.t_ref": ("float", 300.0),
-    "flow.sutherland_c": ("float", 110.5),
-    "flow.gamma": ("float", 1.4),
-    "flow.prandtl": ("float", 0.72),
     "solver.target_drop": ("float", None),
     "solver.max_iterations": ("int", None),
-    "solver.cfl_initial": ("float", None),
-    "solver.cfl_growth": ("float", None),
-    "solver.cfl_max": ("float", None),
-    "solver.linear_sweeps": ("int", None),
-    "solver.jacobian_lag": ("int", None),
 }
+
+#: study-1d-omega's default strategies: left weights 0.5, 0.6, 0.75 and 1.
+OMEGA_STRATEGIES = ["weighted:0.5", "weighted:0.6", "weighted:0.75",
+                    "weighted:1"]
 
 
 class ConfigError(Exception):
@@ -132,7 +121,7 @@ def parse_config_file(path: str) -> dict:
                               f"got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         overrides[key] = _parse_value(key, raw) if raw else None
     return overrides
 
@@ -174,12 +163,9 @@ def write_effective_config(cfg: dict, path: str) -> None:
             f.write(f"{key} = {_format_value(key, cfg[key])}\n")
 
 
-def _flow_config(cfg: dict) -> physics.FlowConfig:
-    return physics.FlowConfig(
-        mach=cfg["flow.mach"], reynolds=cfg["flow.reynolds"],
-        t_ref=cfg["flow.t_ref"], sutherland_c=cfg["flow.sutherland_c"],
-        gamma=cfg["flow.gamma"], prandtl=cfg["flow.prandtl"],
-        alpha=cfg["alpha"])
+def _perturbation(cfg: dict) -> float:
+    """Node-perturbation amplitude of a run: 0 on regular grids."""
+    return 0.0 if cfg["regular"] else cfg["perturbation"]
 
 
 # ---------------------------------------------------------------------------
@@ -195,35 +181,32 @@ class Problem:
     var_names: tuple        # orders are checked on the first
     half_width: float       # --check-orders band around the nominal order
     study: Callable         # verify.run_study_*
-    study_args: Callable    # cfg -> the problem's own study arguments
-    build: Callable         # (cfg, strategy) -> (problem, exact solution)
+    build: Callable         # (cfg, strategy) -> (problem, exact, volumes)
     solve: Callable         # solver.solve_*
 
 
 def _build_1d(cfg, strategy):
-    grid = mesh.generate_grid_1d(cfg["grids"][0], regular=cfg["regular"],
-                                 perturbation=cfg["perturbation"],
+    grid = mesh.generate_grid_1d(cfg["grids"][0],
+                                 perturbation=_perturbation(cfg),
                                  seed=cfg["seed"])
-    return (diffusion1d.Diffusion1DProblem(grid, strategy, alpha=cfg["alpha"]),
-            diffusion1d.exact_solution(grid.cell_centers))
+    return (diffusion1d.Diffusion1DProblem(grid, strategy),
+            diffusion1d.exact_solution(grid.cell_centers), grid.cell_volumes)
 
 
 def _build_3d(cfg, strategy):
     m = mesh.generate_tet_mesh(cfg["grids"][0],
-                               perturbation=cfg["perturbation"],
+                               perturbation=_perturbation(cfg),
                                seed=cfg["seed"])
-    problem = ns3d.NS3DProblem(m, strategy, _flow_config(cfg))
-    return problem, problem.exact
+    problem = ns3d.NS3DProblem(m, strategy)
+    return problem, problem.exact, m.cell_volume
 
 
 PROBLEMS = {
     "diffusion1d": Problem(
         defaults={}, solver_defaults=solver.SolverConfig(),
         var_names=verify.VAR_NAMES_1D, half_width=0.2,
-        study=verify.run_study_1d,
-        study_args=lambda cfg: {"regular": cfg["regular"],
-                                "alpha": cfg["alpha"]},
-        build=_build_1d, solve=solver.solve_diffusion_1d),
+        study=verify.run_study_1d, build=_build_1d,
+        solve=solver.solve_diffusion_1d),
     # Perturbation 0.1: the 1D default 0.3 inverts tets at n = 11.
     "ns3d": Problem(
         defaults={"grids": list(verify.GRID_SIZES_3D),
@@ -232,9 +215,7 @@ PROBLEMS = {
                   "perturbation": 0.1},
         solver_defaults=solver.NS3D_CONFIG,
         var_names=verify.VAR_NAMES_3D, half_width=0.3,
-        study=verify.run_study_3d,
-        study_args=lambda cfg: {"flow_cfg": _flow_config(cfg)},
-        build=_build_3d, solve=solver.solve_ns3d),
+        study=verify.run_study_3d, build=_build_3d, solve=solver.solve_ns3d),
 }
 
 
@@ -309,14 +290,12 @@ def _print_summary(records: dict, variable=0) -> None:
 def _prepare(args, problem: str, omega_sweep: bool = False):
     """Layered config, strategies and solver config of one problem run,
     validated before the effective config is written.  The omega sweep
-    runs weighted:<omega> for each omega unless a layer sets strategies."""
-    omega_defaults = {"strategies": None} if omega_sweep else {}
+    defaults to OMEGA_STRATEGIES."""
+    omega_defaults = {"strategies": OMEGA_STRATEGIES} if omega_sweep else {}
     entry = PROBLEMS[problem]
     cfg = build_config(_cli_overrides(args), args.config,
                        {"problem": problem, **entry.defaults,
                         **omega_defaults})
-    if omega_sweep and cfg["strategies"] is None:
-        cfg["strategies"] = [f"weighted:{w:g}" for w in cfg["omegas"]]
     solver_keys = {key.split(".", 1)[1]: value for key, value in cfg.items()
                    if key.startswith("solver.") and value is not None}
     try:
@@ -337,10 +316,9 @@ def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
     entry = PROBLEMS[problem]
     cfg, strategies, solver_cfg = _prepare(args, problem, omega_sweep)
     records = entry.study(
-        strategies, sizes=cfg["grids"], perturbation=cfg["perturbation"],
+        strategies, sizes=cfg["grids"], perturbation=_perturbation(cfg),
         seed=cfg["seed"], solver_cfg=solver_cfg,
-        volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"],
-        **entry.study_args(cfg))
+        volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"])
     variable = entry.var_names[0]
     _print_summary(records, variable)
     half = entry.half_width
@@ -357,7 +335,7 @@ def cmd_solve(args) -> int:
     entry = PROBLEMS[problem]
     cfg, strategies, solver_cfg = _prepare(args, problem)
     history_path = os.path.join(cfg["out_dir"], "history.csv")
-    built, exact = entry.build(cfg, strategies[0])
+    built, exact, volumes = entry.build(cfg, strategies[0])
     try:
         u, history = entry.solve(built, solver_cfg)
     except solver.NonConvergenceError as exc:
@@ -368,16 +346,17 @@ def cmd_solve(args) -> int:
     np.savetxt(os.path.join(cfg["out_dir"], "solution.csv"),
                np.atleast_2d(np.asarray(u).T).T, delimiter=",",
                header=",".join(entry.var_names))
+    errors = verify.l1_error(u, exact,
+                             volumes if cfg["volume_weighted"] else None)
     print("l1 errors: " + " ".join(
-        f"{v}={e:.6e}" for v, e in zip(entry.var_names,
-                                       verify.l1_error(u, exact))))
+        f"{v}={e:.6e}" for v, e in zip(entry.var_names, errors)))
     return EXIT_OK
 
 
 def cmd_mesh_export(args) -> int:
     cfg = build_config(_cli_overrides(args), args.config)
     n = cfg["grids"][0]
-    m = mesh.generate_tet_mesh(n, perturbation=cfg["perturbation"],
+    m = mesh.generate_tet_mesh(n, perturbation=_perturbation(cfg),
                                seed=cfg["seed"])
     out = args.output or os.path.join(cfg["out_dir"], f"tet_n{n}.vtk")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -424,7 +403,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grids", help="comma-separated sizes")
     p.add_argument("--strategies", help="comma-separated strategy names")
     p.add_argument("--regular", action="store_const", const="true",
-                   help="regular (unperturbed) grids")
+                   help="regular (unperturbed) grids and meshes")
     p.add_argument("--seed", help="grid-perturbation seed")
     p.add_argument("--perturbation",
                    help="relative node-perturbation amplitude")
@@ -446,14 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study-1d", help="1D nonlinear-diffusion study")
     _add_common(p)
-    p.add_argument("--alpha", help="face-gradient damping")
     p.set_defaults(fn=functools.partial(cmd_study, problem="diffusion1d"))
 
     p = sub.add_parser("study-1d-omega",
                        help="1D weighted-average omega sweep")
     _add_common(p)
-    p.add_argument("--omegas", help="comma-separated left weights")
-    p.add_argument("--alpha", help="face-gradient damping")
     p.set_defaults(fn=functools.partial(cmd_study, problem="diffusion1d",
                                         omega_sweep=True))
 
@@ -464,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="single run with iteration history")
     _add_common(p)
     p.add_argument("--problem", choices=tuple(PROBLEMS))
-    p.add_argument("--alpha", help="face-gradient damping")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("mesh-export", help="write a tet mesh as legacy VTK")

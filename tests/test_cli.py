@@ -6,6 +6,14 @@ import pytest
 from fvvisc import cli, verify
 from fvvisc.verify import ConvergenceRecord
 
+# keys that are not configurable: alpha and the flow constants are the
+# FlowConfig() defaults, the omegas are study-1d-omega's default strategies,
+# and the CFL schedule and linear solve are fixed per problem in the solver
+REMOVED_KEYS = ("omegas", "alpha", "flow.mach", "flow.reynolds", "flow.t_ref",
+                "flow.sutherland_c", "flow.gamma", "flow.prandtl",
+                "solver.cfl_initial", "solver.cfl_growth", "solver.cfl_max",
+                "solver.linear_sweeps", "solver.jacobian_lag")
+
 
 class TestConfigParsing:
     def test_defaults(self):
@@ -68,7 +76,7 @@ class TestConfigParsing:
 
     def test_effective_config_roundtrip(self, tmp_path):
         cfg = cli.build_config({"grids": [7, 11], "regular": True},
-                               environ={"FVVISC_FLOW_MACH": "0.2"})
+                               environ={"FVVISC_PERTURBATION": "0.2"})
         path = tmp_path / "effective_config.cfg"
         cli.write_effective_config(cfg, str(path))
         reparsed = cli.build_config({}, str(path), environ={})
@@ -120,6 +128,31 @@ class TestMainExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1
             assert err[0].startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key):
+        rc = cli.main(["study-1d", "--set", f"{key}=1",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: unknown config key {key!r}"]
+
+    def test_removed_key_is_unknown_in_every_layer(
+            self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "run.cfg"
+        path.write_text("alpha = 1.5\n")
+        rc = cli.main(["study-1d", "--config", str(path),
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {path}:1: unknown config key 'alpha'"]
+        monkeypatch.setenv("FVVISC_FLOW_MACH", "0.2")
+        rc = cli.main(["study-1d", "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: unknown config key in environment: "
+                       "FVVISC_FLOW_MACH"]
+        assert not (tmp_path / "effective_config.cfg").exists()
 
     def test_bad_solver_value_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--set", "solver.max_iterations=0",
@@ -196,6 +229,31 @@ class TestSolveArtifacts:
         assert rc == cli.EXIT_NONCONVERGENCE
         cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
         assert f"perturbation = {perturbation}" in cfg
+
+    def test_regular_ns3d_solve_is_the_unperturbed_mesh(self, tmp_path):
+        solutions = {}
+        for name, argv in (("regular", ["--regular"]),
+                           ("flat", ["--perturbation", "0"]),
+                           ("perturbed", [])):
+            out = tmp_path / name
+            rc = cli.main(["solve", "--problem", "ns3d", "--grids", "3",
+                           "--set", "solver.target_drop=3", *argv,
+                           "--out-dir", str(out)])
+            assert rc == cli.EXIT_OK
+            solutions[name] = (out / "solution.csv").read_bytes()
+        assert solutions["regular"] == solutions["flat"]
+        assert solutions["regular"] != solutions["perturbed"]
+
+    def test_volume_weighted_solve_reports_the_weighted_error(
+            self, tmp_path, capsys):
+        lines = []
+        for argv in ([], ["--volume-weighted"]):
+            rc = cli.main(["solve", "--grids", "15", *argv,
+                           "--out-dir", str(tmp_path)])
+            assert rc == cli.EXIT_OK
+            lines.append(capsys.readouterr().out.strip())
+        assert lines[0].startswith("l1 errors: u=")
+        assert lines[0] != lines[1]
 
 
 class TestMeshExport:

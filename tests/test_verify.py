@@ -161,6 +161,17 @@ class TestCsvOutput:
         assert (name, var) == ("arithmetic", "u")
         assert abs(float(pair) - 2.0) < 1e-6
 
+    def test_two_rows_keep_pair_and_finest_pair_orders(self, tmp_path):
+        # the finest half of two rows is one row, so only the fit is undefined
+        rec = synthetic_record(p=2.0, sizes=(8, 16))
+        verify.write_study_csv({"arithmetic": rec}, str(tmp_path), "s")
+        rows = (tmp_path / "s_arithmetic.csv").read_text().splitlines()[2:]
+        assert abs(float(rows[1].split(",")[6]) - 2.0) < 1e-6
+        summary = (tmp_path / "s_summary.csv").read_text().splitlines()
+        name, var, slope, pair = summary[2].split(",")
+        assert slope == "nan"
+        assert abs(float(pair) - 2.0) < 1e-6
+
     def test_weighted_strategy_filename_safe(self, tmp_path):
         rec = synthetic_record()
         rec.strategy = "weighted:0.75"
