@@ -7,8 +7,7 @@ strategies for evaluating viscous coefficients at cell faces.
 """
 
 from .mesh import (Grid1D, Mesh3D, generate_grid_1d, generate_tet_mesh,
-                   build_mesh, write_vtk)
-from .physics import FlowConfig
+                   build_mesh)
 from .recon import Strategy, STRATEGY_TAGS
 from .solver import SolverConfig, NonConvergenceError
 from .verify import (ConvergenceRecord, l1_error, observed_order,
@@ -18,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid1D", "Mesh3D", "generate_grid_1d", "generate_tet_mesh",
-    "build_mesh", "write_vtk", "FlowConfig", "Strategy", "STRATEGY_TAGS",
+    "build_mesh", "Strategy", "STRATEGY_TAGS",
     "SolverConfig", "NonConvergenceError", "ConvergenceRecord", "l1_error",
     "observed_order", "finest_pair_order", "run_study_1d", "run_study_3d",
     "__version__",

@@ -1,13 +1,13 @@
 """Command-line entry point binding key=value configs to studies.
 
-Subcommands: study-1d, study-1d-omega, study-3d, solve, mesh-export,
-selftest.  Configuration is layered with precedence CLI flag > environment
+Subcommands: study-1d, study-1d-omega, study-3d, solve, selftest.
+Configuration is layered with precedence CLI flag > environment
 (FVVISC_ prefix) > config file > built-in default, and a flag that sets a
 config key is parsed like its config-file value; the effective config is
 written next to the output so any run can be reproduced from its
 artifacts.  The studies and ``solve`` read ``PROBLEMS``: per model problem,
-its config and solver defaults, variables, order band, and how to run a
-study or build and solve one grid.
+its config and solver defaults, smallest grid size, variables, order band,
+and how to run a study or build and solve one grid.
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 acceptance-band violation under --check-orders.
 """
@@ -177,6 +177,7 @@ class Problem:
     """A model problem as the studies and ``solve`` see it."""
 
     defaults: dict          # config defaults over CONFIG_SCHEMA's
+    min_size: int           # smallest grid size its generator accepts
     solver_defaults: solver.SolverConfig
     var_names: tuple        # orders are checked on the first
     half_width: float       # --check-orders band around the nominal order
@@ -203,7 +204,8 @@ def _build_3d(cfg, strategy):
 
 PROBLEMS = {
     "diffusion1d": Problem(
-        defaults={}, solver_defaults=solver.SolverConfig(),
+        defaults={}, min_size=mesh.MIN_CELLS_1D,
+        solver_defaults=solver.SolverConfig(),
         var_names=verify.VAR_NAMES_1D, half_width=0.2,
         study=verify.run_study_1d, build=_build_1d,
         solve=solver.solve_diffusion_1d),
@@ -213,7 +215,7 @@ PROBLEMS = {
                   "strategies": ["lr-average", "arithmetic",
                                  "inverse-distance"],
                   "perturbation": 0.1},
-        solver_defaults=solver.NS3D_CONFIG,
+        min_size=mesh.MIN_CELLS_3D, solver_defaults=solver.NS3D_CONFIG,
         var_names=verify.VAR_NAMES_3D, half_width=0.3,
         study=verify.run_study_3d, build=_build_3d, solve=solver.solve_ns3d),
 }
@@ -287,6 +289,28 @@ def _print_summary(records: dict, variable=0) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _check_run_values(cfg: dict, entry: Problem) -> None:
+    """Reject grid, perturbation, seed and strategy values that the grid
+    generators and the studies cannot run."""
+    grids = cfg["grids"]
+    if not grids:
+        raise ConfigError("grids is empty")
+    if any(a >= b for a, b in zip(grids, grids[1:])):
+        raise ConfigError("grids must be strictly increasing, got "
+                          + _format_value("grids", grids))
+    if grids[0] < entry.min_size:
+        raise ConfigError(f"grid size {grids[0]} is below the minimum "
+                          f"{entry.min_size} for {cfg['problem']}")
+    if not 0.0 <= _perturbation(cfg) < mesh.MAX_PERTURBATION:
+        raise ConfigError(f"perturbation must be in "
+                          f"[0, {mesh.MAX_PERTURBATION:g}), "
+                          f"got {cfg['perturbation']!r}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be at least 0, got {cfg['seed']}")
+    if not cfg["strategies"]:
+        raise ConfigError("no strategies given")
+
+
 def _prepare(args, problem: str, omega_sweep: bool = False):
     """Layered config, strategies and solver config of one problem run,
     validated before the effective config is written.  The omega sweep
@@ -303,6 +327,7 @@ def _prepare(args, problem: str, omega_sweep: bool = False):
         solver_cfg = dataclasses.replace(entry.solver_defaults, **solver_keys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_run_values(cfg, entry)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg["out_dir"],
                                              "effective_config.cfg"))
@@ -350,18 +375,6 @@ def cmd_solve(args) -> int:
                              volumes if cfg["volume_weighted"] else None)
     print("l1 errors: " + " ".join(
         f"{v}={e:.6e}" for v, e in zip(entry.var_names, errors)))
-    return EXIT_OK
-
-
-def cmd_mesh_export(args) -> int:
-    cfg = build_config(_cli_overrides(args), args.config)
-    n = cfg["grids"][0]
-    m = mesh.generate_tet_mesh(n, perturbation=_perturbation(cfg),
-                               seed=cfg["seed"])
-    out = args.output or os.path.join(cfg["out_dir"], f"tet_n{n}.vtk")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    mesh.write_vtk(m, out, title=f"irregular tet mesh n={n}")
-    print(f"wrote {out} ({m.n_cells} cells)")
     return EXIT_OK
 
 
@@ -441,11 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--problem", choices=tuple(PROBLEMS))
     p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("mesh-export", help="write a tet mesh as legacy VTK")
-    _add_common(p)
-    p.add_argument("--output", help="output .vtk path")
-    p.set_defaults(fn=cmd_mesh_export)
 
     p = sub.add_parser("selftest", help="solver-free invariant suite")
     p.set_defaults(fn=cmd_selftest)

@@ -2,9 +2,10 @@
 
 Exact solution u_e = exp(2x) on [0, 1]; the forcing is the analytic
 f(x) = -12 exp(6x).  The finite-volume flux uses the alpha-damped face
-derivative, and the face viscosity nu_{j+1/2} is evaluated from squared cell
-or reconstructed values under a selectable strategy.  The first and last
-cells are pinned to the exact solution with zero residual.
+derivative (alpha = recon.ALPHA), and the face viscosity nu_{j+1/2} is
+evaluated from squared cell or reconstructed values under a selectable
+strategy.  The first and last cells are pinned to the exact solution with
+zero residual.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Grid1D
-from .recon import ALPHA_DEFAULT, Strategy, face_derivative_1d, face_scalar, \
-    gradient_1d
+from .recon import Strategy, face_derivative_1d, face_scalar, gradient_1d
 
 
 def exact_solution(x):
@@ -31,7 +31,6 @@ def forcing(x):
 class Diffusion1DProblem:
     grid: Grid1D
     strategy: Strategy
-    alpha: float = ALPHA_DEFAULT
     pinned: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -75,8 +74,7 @@ def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
     gj, gk = gx[:-1], gx[1:]
     u_l = uj + gj * (xf - x[:-1])
     u_r = uk + gk * (xf - x[1:])
-    dudx_f = face_derivative_1d(gj, gk, u_l, u_r, x[1:] - x[:-1],
-                                problem.alpha)
+    dudx_f = face_derivative_1d(gj, gk, u_l, u_r, x[1:] - x[:-1])
     nu = face_scalar(problem.strategy, uj ** 2, uk ** 2, u_l ** 2,
                      u_r ** 2, x[:-1], x[1:], xf)
     return nu * dudx_f

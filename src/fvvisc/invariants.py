@@ -43,10 +43,9 @@ def lsq_gradient_linear_exactness():
 def roe_flux_consistency():
     """Roe flux of two equal states is the exact normal flux: one fixed
     state to 1e-13 absolute, 32 random states to 1e-13 of the largest flux."""
-    cfg = physics.FlowConfig()
     w = np.array([[1.05, 0.3, 0.2, 0.1, 1.1]])
     nhat = np.array([[0.6, 0.64, 0.48]])
-    err, _ = _roe_error(w, nhat / np.linalg.norm(nhat), cfg)
+    err, _ = _roe_error(w, nhat / np.linalg.norm(nhat))
     assert err < 1e-13, f"roe consistency error {err:.3e}"
     rng = np.random.default_rng(77)
     w = np.column_stack([rng.uniform(lo, hi, 32) for lo, hi in
@@ -54,20 +53,20 @@ def roe_flux_consistency():
                           (0.8, 1.2))])
     nhat = rng.normal(size=(32, 3))
     err, scale = _roe_error(
-        w, nhat / np.linalg.norm(nhat, axis=1, keepdims=True), cfg)
+        w, nhat / np.linalg.norm(nhat, axis=1, keepdims=True))
     assert err / scale < 1e-13, \
         f"roe consistency relative error {err / scale:.3e} over 32 states"
 
 
-def _roe_error(w, nhat, cfg):
-    exact = physics.inviscid_normal_flux(w, nhat, cfg)
-    err = np.abs(physics.roe_flux(w, w, nhat, cfg) - exact).max()
+def _roe_error(w, nhat):
+    exact = physics.inviscid_normal_flux(w, nhat)
+    err = np.abs(physics.roe_flux(w, w, nhat) - exact).max()
     return err, np.abs(exact).max()
 
 
 def free_stream_preservation():
     m = _mesh()
-    problem = ns3d.NS3DProblem(m, ARITHMETIC, physics.FlowConfig())
+    problem = ns3d.NS3DProblem(m, ARITHMETIC)
     w = np.tile([1.0, 0.3, 0.2, 0.1, 1.0], (m.n_cells, 1))
     res = ns3d.residual_ns3d(problem, w, include_forcing=False)
     err = np.abs(res).max()
@@ -109,30 +108,28 @@ def arithmetic_boundedness():
 
 
 def sutherland_reference_viscosity():
-    cfg = physics.FlowConfig()
-    mu = physics.sutherland_viscosity(np.array([1.0]), cfg)[0]
-    expect = cfg.mach / cfg.reynolds
+    mu = physics.sutherland_viscosity(np.array([1.0]))[0]
+    expect = physics.MACH / physics.REYNOLDS
     assert mu == expect, f"mu(1) = {mu!r}, expected {expect!r}"
 
 
 def forcing_matches_flux_divergence():
     """The symbolic MMS forcing against a 4th-order finite-difference
     divergence of the composed flux, at 20 and at 100 random points."""
-    cfg = physics.FlowConfig()
     for seed, n in ((23, 20), (2024, 100)):
         pts = np.random.default_rng(seed).uniform(0.05, 0.45, (n, 3))
-        f = ns3d.mms_forcing(pts, cfg)
-        rel = np.abs(f - _fd_flux_divergence(pts, cfg)).max() / np.abs(f).max()
+        f = ns3d.mms_forcing(pts)
+        rel = np.abs(f - _fd_flux_divergence(pts)).max() / np.abs(f).max()
         assert rel < 1e-7, f"forcing relative error {rel:.3e} at {n} points"
 
 
-def _fd_flux_divergence(pts, cfg, h=1e-3):
+def _fd_flux_divergence(pts, h=1e-3):
     div = np.zeros((len(pts), 5))
     for d in range(3):
         for s, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
             q = pts.copy()
             q[:, d] += s * h
-            div += c / (12.0 * h) * ns3d.mms_total_flux(q, cfg)[:, d, :]
+            div += c / (12.0 * h) * ns3d.mms_total_flux(q)[:, d, :]
     return div
 
 

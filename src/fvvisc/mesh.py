@@ -21,6 +21,11 @@ class DegenerateMeshError(MeshError):
     """A cell with zero or negative volume was produced."""
 
 
+MIN_CELLS_1D = 3       # cells of the smallest 1D grid
+MIN_CELLS_3D = 2       # hex blocks per direction of the smallest 3D mesh
+MAX_PERTURBATION = 0.5  # node perturbations lie in [0, MAX_PERTURBATION)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Cell-centered 1D grid on [0, 1].
@@ -70,10 +75,6 @@ class Mesh3D:
         return self.cells.shape[0]
 
     @property
-    def n_faces(self) -> int:
-        return self.face_owner.shape[0]
-
-    @property
     def interior_faces(self) -> np.ndarray:
         return np.flatnonzero(self.face_neighbor >= 0)
 
@@ -85,23 +86,22 @@ class Mesh3D:
             a.setflags(write=False)
 
 
-def generate_grid_1d(n: int, regular: bool = False, perturbation: float = 0.3,
+def generate_grid_1d(n: int, perturbation: float = 0.3,
                      seed: int = 0) -> Grid1D:
-    """Generate a 1D grid with n cells; irregular grids perturb interior nodes.
+    """Generate a 1D grid with n cells whose interior nodes are perturbed.
 
     Each interior node is displaced from its uniform position by a seeded
     pseudo-random amount bounded by perturbation/n, so the same arguments
-    reproduce a bit-identical grid.
+    reproduce a bit-identical grid; perturbation 0 gives the uniform grid.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 cells, got n={n}")
-    if not 0.0 <= perturbation < 0.5:
-        raise ValueError(f"perturbation must be in [0, 0.5), got {perturbation}")
+    if n < MIN_CELLS_1D:
+        raise ValueError(f"need at least {MIN_CELLS_1D} cells, got n={n}")
+    if not 0.0 <= perturbation < MAX_PERTURBATION:
+        raise ValueError(f"perturbation must be in [0, {MAX_PERTURBATION:g}), "
+                         f"got {perturbation}")
     nodes = np.linspace(0.0, 1.0, n + 1)
-    if not regular:
-        rng = np.random.default_rng(seed)
-        shift = rng.uniform(-1.0, 1.0, n - 1) * perturbation / n
-        nodes[1:-1] += shift
+    rng = np.random.default_rng(seed)
+    nodes[1:-1] += rng.uniform(-1.0, 1.0, n - 1) * perturbation / n
     centers = 0.5 * (nodes[:-1] + nodes[1:])
     volumes = np.diff(nodes)
     return Grid1D(nodes=nodes, cell_centers=centers, cell_volumes=volumes,
@@ -139,10 +139,12 @@ def generate_tet_mesh(n: int, perturbation: float = 0.2, seed: int = 0) -> Mesh3
     perturbation * (0.5/n) per coordinate; boundary vertices stay fixed so all
     boundaries remain flat.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 cells per direction, got n={n}")
-    if not 0.0 <= perturbation < 0.5:
-        raise ValueError(f"perturbation must be in [0, 0.5), got {perturbation}")
+    if n < MIN_CELLS_3D:
+        raise ValueError(
+            f"need at least {MIN_CELLS_3D} cells per direction, got n={n}")
+    if not 0.0 <= perturbation < MAX_PERTURBATION:
+        raise ValueError(f"perturbation must be in [0, {MAX_PERTURBATION:g}), "
+                         f"got {perturbation}")
     h = 0.5 / n
     axis = np.linspace(0.0, 0.5, n + 1)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -234,21 +236,3 @@ def closure_residual(mesh: Mesh3D) -> np.ndarray:
     np.add.at(areas, nb, mesh.face_area[interior])
     return np.linalg.norm(acc, axis=1) / areas
 
-
-def write_vtk(mesh: Mesh3D, path: str, title: str = "fvvisc mesh") -> None:
-    """Write the mesh as a legacy-VTK 2.0 ASCII unstructured grid (tet cells)."""
-    c = mesh.n_cells
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.vertices.shape[0]} double\n")
-        for v in mesh.vertices:
-            f.write(f"{v[0]:.16e} {v[1]:.16e} {v[2]:.16e}\n")
-        f.write(f"CELLS {c} {5 * c}\n")
-        for cell in mesh.cells:
-            f.write(f"4 {cell[0]} {cell[1]} {cell[2]} {cell[3]}\n")
-        f.write(f"CELL_TYPES {c}\n")
-        for _ in range(c):
-            f.write("10\n")

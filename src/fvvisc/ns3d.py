@@ -1,22 +1,22 @@
 """3D compressible Navier-Stokes manufactured-solution problem.
 
 The exact solution is a constant state plus 0.1 exp(0.5 (x + y + z)) added to
-every primitive variable on the cube [0, 0.5]^3.  A forcing vector (the
-analytic divergence of the exact total flux, derived symbolically once and
-cached) makes it a steady solution of the discretized system.  Cells adjacent
-to a boundary face are pinned to the exact solution and carry zero residual.
+every primitive variable on the cube [0, 0.5]^3, at the fixed flow condition
+of the ``physics`` constants.  A forcing vector (the analytic divergence of
+the exact total flux, derived symbolically once per process and cached)
+makes it a steady solution of the discretized system.  Cells adjacent to a
+boundary face are pinned to the exact solution and carry zero residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import physics, recon
 from .mesh import Mesh3D
-from .physics import FlowConfig
 from .recon import Strategy
 
 MMS_CONSTANTS = np.array([1.0, 0.3, 0.2, 0.1, 1.0])
@@ -40,7 +40,7 @@ def mms_gradients(points: np.ndarray) -> np.ndarray:
                            points.shape[:-1] + (5, 3)).copy()
 
 
-def mms_total_flux(points: np.ndarray, cfg: FlowConfig) -> np.ndarray:
+def mms_total_flux(points: np.ndarray) -> np.ndarray:
     """Exact total (inviscid + viscous) flux tensor at points, shape (..., 3, 5).
 
     Composed numerically from the physics-module flux routines and the
@@ -53,21 +53,23 @@ def mms_total_flux(points: np.ndarray, cfg: FlowConfig) -> np.ndarray:
     grads = mms_gradients(points)           # (..., 5, 3)
     grad_v = grads[..., 1:4, :]
     grad_t = grads[..., 4, :]
-    mu = physics.sutherland_viscosity(w[..., 4], cfg)
+    mu = physics.sutherland_viscosity(w[..., 4])
     vel = w[..., 1:4]
     out = np.empty(points.shape[:-1] + (3, 5))
     eye = np.eye(3)
     for d in range(3):
         nhat = np.broadcast_to(eye[d], points.shape)
-        out[..., d, :] = physics.inviscid_normal_flux(w, nhat, cfg) + \
-            physics.viscous_normal_flux(grad_v, grad_t, vel, mu, nhat, cfg)
+        out[..., d, :] = physics.inviscid_normal_flux(w, nhat) + \
+            physics.viscous_normal_flux(grad_v, grad_t, vel, mu, nhat)
     return out
 
 
-@lru_cache(maxsize=8)
-def _forcing_function(mach, reynolds, t_ref, sutherland_c, gamma, prandtl):
+@lru_cache(maxsize=1)
+def _forcing_function():
     """Symbolic divergence of the exact total flux, lambdified for numpy."""
     import sympy as sp
+
+    gamma, prandtl = physics.GAMMA, physics.PRANDTL
 
     x, y, z = sp.symbols("x y z")
     coords = (x, y, z)
@@ -80,8 +82,9 @@ def _forcing_function(mach, reynolds, t_ref, sutherland_c, gamma, prandtl):
     q2 = sum(v * v for v in vel)
     h_tot = temp / (gamma - 1) + q2 / 2
 
-    cr = sp.Float(sutherland_c) / sp.Float(t_ref)
-    mu = sp.Float(mach / reynolds) * (1 + cr) / (temp + cr) * temp ** sp.Rational(3, 2)
+    cr = sp.Float(physics.SUTHERLAND_C) / sp.Float(physics.T_REF)
+    mu = (sp.Float(physics.MACH / physics.REYNOLDS) * (1 + cr) / (temp + cr)
+          * temp ** sp.Rational(3, 2))
     gv = [[sp.diff(vel[i], coords[j]) for j in range(3)] for i in range(3)]
     div_v = gv[0][0] + gv[1][1] + gv[2][2]
     tau = [[mu * (gv[i][j] + gv[j][i]
@@ -105,28 +108,25 @@ def _forcing_function(mach, reynolds, t_ref, sutherland_c, gamma, prandtl):
     return sp.lambdify((x, y, z), forcing, "numpy")
 
 
-def mms_forcing(points: np.ndarray, cfg: FlowConfig) -> np.ndarray:
+def mms_forcing(points: np.ndarray) -> np.ndarray:
     """Analytic forcing vector at the given points, shape (..., 3) -> (..., 5)."""
     points = np.asarray(points, dtype=float)
-    fn = _forcing_function(cfg.mach, cfg.reynolds, cfg.t_ref, cfg.sutherland_c,
-                           cfg.gamma, cfg.prandtl)
-    comps = fn(points[..., 0], points[..., 1], points[..., 2])
+    comps = _forcing_function()(points[..., 0], points[..., 1], points[..., 2])
     return np.stack([np.broadcast_to(c, points.shape[:-1]) for c in comps],
                     axis=-1)
 
 
 @dataclass
 class NS3DProblem:
-    """Mesh, reconstruction strategy, flow constants, and precomputed MMS data."""
+    """Mesh, reconstruction strategy, and precomputed MMS data."""
 
     mesh: Mesh3D
     strategy: Strategy
-    cfg: FlowConfig = field(default_factory=FlowConfig)
 
     def __post_init__(self):
         xc = self.mesh.cell_centroid
         self.exact = mms_state(xc)                       # (C, 5)
-        self.forcing = mms_forcing(xc, self.cfg)         # (C, 5)
+        self.forcing = mms_forcing(xc)                   # (C, 5)
         self.pinned = self.mesh.boundary_cell.copy()
         # face-local geometry for assembly
         fi = self.mesh.interior_faces
@@ -155,7 +155,6 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
     (used by the free-stream preservation check).
     """
     mesh = problem.mesh
-    cfg = problem.cfg
     w = np.asarray(states, dtype=float)
     grads = recon.lsq_gradient_3d(mesh, w)               # (C, 5, 3)
 
@@ -164,11 +163,10 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
     w_l, w_r = recon.reconstruct_lr(w[o], grads[o], xc[o], w[k], grads[k],
                                     xc[k], problem.f_centroid)
 
-    flux = physics.roe_flux(w_l, w_r, problem.f_nhat, cfg)
+    flux = physics.roe_flux(w_l, w_r, problem.f_nhat)
 
     grad_f = recon.alpha_damped_face_gradient(grads[o], grads[k], w_l, w_r,
-                                              xc[o], xc[k], problem.f_nhat,
-                                              cfg.alpha)
+                                              xc[o], xc[k], problem.f_nhat)
     t_f = recon.face_scalar(problem.strategy, w[o][:, 4], w[k][:, 4],
                             w_l[:, 4], w_r[:, 4], xc[o], xc[k],
                             problem.f_centroid)
@@ -181,10 +179,10 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
                                       w_r[:, 1 + d], xc[o], xc[k],
                                       problem.f_centroid)
                     for d in range(3)], axis=-1)
-    mu_f = physics.sutherland_viscosity(t_f, cfg)
+    mu_f = physics.sutherland_viscosity(t_f)
     flux = flux + physics.viscous_normal_flux(grad_f[:, 1:4, :],
                                               grad_f[:, 4, :], v_f, mu_f,
-                                              problem.f_nhat, cfg)
+                                              problem.f_nhat)
 
     res = np.zeros((mesh.n_cells, 5))
     contrib = flux * problem.f_area[:, None]

@@ -2,17 +2,24 @@
 
 Primitive variables are (rho, u, v, w, T) with velocity scaled by the
 free-stream speed of sound, which gives p = rho T / gamma and the factor
-mach/reynolds in the Sutherland viscosity.  All routines broadcast over
+mach/reynolds in the Sutherland viscosity.  The flow condition is fixed:
+the module constants MACH ... PRANDTL below.  All routines broadcast over
 leading axes so they can be applied to whole arrays of faces at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .recon import ALPHA_DEFAULT
+MACH = 0.1            # free-stream Mach number
+REYNOLDS = 0.1        # free-stream Reynolds number
+T_REF = 300.0         # dimensional free-stream temperature [K]
+SUTHERLAND_C = 110.5  # Sutherland constant [K]
+GAMMA = 1.4
+PRANDTL = 0.72
+
+# Harten entropy fix on the acoustic eigenvalues: delta = coeff * c_roe.
+ENTROPY_FIX_COEFF = 0.05
 
 
 class InvalidStateError(Exception):
@@ -23,34 +30,13 @@ class NonpositiveTemperatureError(Exception):
     """A face temperature fed to the viscosity law is not positive."""
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Nondimensionalization and physics constants."""
-
-    mach: float = 0.1           # free-stream Mach number
-    reynolds: float = 0.1       # free-stream Reynolds number
-    t_ref: float = 300.0        # dimensional free-stream temperature [K]
-    sutherland_c: float = 110.5  # Sutherland constant [K]
-    gamma: float = 1.4
-    prandtl: float = 0.72
-    alpha: float = ALPHA_DEFAULT  # face-gradient damping coefficient
-
-    def __post_init__(self):
-        for name in ("mach", "reynolds", "t_ref", "sutherland_c", "gamma",
-                     "prandtl", "alpha"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+def pressure(w: np.ndarray) -> np.ndarray:
+    return w[..., 0] * w[..., 4] / GAMMA
 
 
-def pressure(w: np.ndarray, cfg: FlowConfig) -> np.ndarray:
-    return w[..., 0] * w[..., 4] / cfg.gamma
-
-
-def prim_to_cons(w: np.ndarray, cfg: FlowConfig) -> np.ndarray:
+def prim_to_cons(w: np.ndarray) -> np.ndarray:
     """(rho, v, T) -> (rho, rho v, rho E) with rho E = p/(gamma-1) + rho |v|^2 / 2."""
-    g = cfg.gamma
+    g = GAMMA
     rho = w[..., 0]
     q2 = np.sum(w[..., 1:4] ** 2, axis=-1)
     e_tot = w[..., 4] / (g * (g - 1.0)) + 0.5 * q2
@@ -61,8 +47,8 @@ def prim_to_cons(w: np.ndarray, cfg: FlowConfig) -> np.ndarray:
     return u
 
 
-def cons_to_prim(u: np.ndarray, cfg: FlowConfig) -> np.ndarray:
-    g = cfg.gamma
+def cons_to_prim(u: np.ndarray) -> np.ndarray:
+    g = GAMMA
     rho = u[..., 0]
     w = np.empty_like(u)
     w[..., 0] = rho
@@ -72,14 +58,14 @@ def cons_to_prim(u: np.ndarray, cfg: FlowConfig) -> np.ndarray:
     return w
 
 
-def sutherland_viscosity(t_face, cfg: FlowConfig):
+def sutherland_viscosity(t_face):
     """Face viscosity mu_f = (M/Re) (1 + C/Tref) / (T_f + C/Tref) T_f^(3/2)."""
     t_face = np.asarray(t_face, dtype=float)
     if np.any(t_face <= 0.0):
         raise NonpositiveTemperatureError(
             "face temperature must be positive for the viscosity law")
-    cr = cfg.sutherland_c / cfg.t_ref
-    return (cfg.mach / cfg.reynolds) * (1.0 + cr) / (t_face + cr) * t_face ** 1.5
+    cr = SUTHERLAND_C / T_REF
+    return (MACH / REYNOLDS) * (1.0 + cr) / (t_face + cr) * t_face ** 1.5
 
 
 def shear_stress_normal(grad_v: np.ndarray, mu, nhat: np.ndarray) -> np.ndarray:
@@ -95,13 +81,13 @@ def shear_stress_normal(grad_v: np.ndarray, mu, nhat: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", tau, nhat)
 
 
-def viscous_normal_flux(grad_v, grad_t, v_face, mu, nhat, cfg: FlowConfig):
+def viscous_normal_flux(grad_v, grad_t, v_face, mu, nhat):
     """Projected viscous flux (0, -tau_n, -tau_n . v_f + q_n).
 
     q_n = -(mu / (Pr (gamma - 1))) grad T . nhat.  Returns (..., 5).
     """
     tau_n = shear_stress_normal(grad_v, mu, nhat)
-    q_n = -np.asarray(mu) / (cfg.prandtl * (cfg.gamma - 1.0)) * \
+    q_n = -np.asarray(mu) / (PRANDTL * (GAMMA - 1.0)) * \
         np.einsum("...d,...d->...", np.asarray(grad_t, dtype=float), nhat)
     flux = np.zeros(tau_n.shape[:-1] + (5,))
     flux[..., 1:4] = -tau_n
@@ -110,13 +96,12 @@ def viscous_normal_flux(grad_v, grad_t, v_face, mu, nhat, cfg: FlowConfig):
     return flux
 
 
-def inviscid_normal_flux(w: np.ndarray, nhat: np.ndarray,
-                         cfg: FlowConfig) -> np.ndarray:
+def inviscid_normal_flux(w: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     """Analytic projected inviscid flux (rho vn, rho vn v + p n, vn (rho E + p))."""
-    g = cfg.gamma
+    g = GAMMA
     rho = w[..., 0]
     vel = w[..., 1:4]
-    p = pressure(w, cfg)
+    p = pressure(w)
     vn = np.einsum("...d,...d->...", vel, nhat)
     q2 = np.sum(vel ** 2, axis=-1)
     h_tot = w[..., 4] / (g - 1.0) + 0.5 * q2  # total enthalpy, c^2 = T
@@ -132,13 +117,12 @@ def _entropy_fix(lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.where(a < delta, (lam * lam + delta * delta) / (2.0 * delta), a)
 
 
-def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray,
-             cfg: FlowConfig, entropy_fix_coeff: float = 0.05) -> np.ndarray:
+def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     """Roe approximate Riemann flux for left/right primitive states.
 
     Standard Roe-averaged dissipation in conservative variables, written in
     the tangent-vector-free form (the two shear waves are combined).  A
-    Harten-type entropy fix with delta = entropy_fix_coeff * c_roe is applied
+    Harten-type entropy fix with delta = ENTROPY_FIX_COEFF * c_roe is applied
     to the acoustic eigenvalues.  Consistent: roe_flux(w, w, n) equals the
     analytic projected flux of w.
     """
@@ -147,11 +131,11 @@ def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray,
     if np.any(w_l[..., 0] <= 0) or np.any(w_l[..., 4] <= 0) or \
        np.any(w_r[..., 0] <= 0) or np.any(w_r[..., 4] <= 0):
         raise InvalidStateError("Roe flux requires positive density and temperature")
-    g = cfg.gamma
+    g = GAMMA
 
     rho_l, rho_r = w_l[..., 0], w_r[..., 0]
     vel_l, vel_r = w_l[..., 1:4], w_r[..., 1:4]
-    p_l, p_r = pressure(w_l, cfg), pressure(w_r, cfg)
+    p_l, p_r = pressure(w_l), pressure(w_r)
     h_l = w_l[..., 4] / (g - 1.0) + 0.5 * np.sum(vel_l ** 2, axis=-1)
     h_r = w_r[..., 4] / (g - 1.0) + 0.5 * np.sum(vel_r ** 2, axis=-1)
 
@@ -177,7 +161,7 @@ def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray,
     a2 = d_rho - d_p / c2_a
     a3 = (d_p + rho_a * c_a * d_vn) / (2.0 * c2_a)
 
-    delta = entropy_fix_coeff * c_a
+    delta = ENTROPY_FIX_COEFF * c_a
     l1 = _entropy_fix(vn_a - c_a, delta)
     l2 = np.abs(vn_a)
     l3 = _entropy_fix(vn_a + c_a, delta)
@@ -200,15 +184,14 @@ def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray,
     diss[..., 1:4] += (l2 * rho_a)[..., None] * shear
     diss[..., 4] += l2 * rho_a * np.einsum("...d,...d->...", vel_a, shear)
 
-    f_l = inviscid_normal_flux(w_l, nhat, cfg)
-    f_r = inviscid_normal_flux(w_r, nhat, cfg)
+    f_l = inviscid_normal_flux(w_l, nhat)
+    f_r = inviscid_normal_flux(w_r, nhat)
     return 0.5 * (f_l + f_r) - 0.5 * diss
 
 
-def inviscid_flux_jacobian(w: np.ndarray, nhat: np.ndarray,
-                           cfg: FlowConfig) -> np.ndarray:
+def inviscid_flux_jacobian(w: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     """d(projected inviscid flux)/d(conservative variables), shape (..., 5, 5)."""
-    g = cfg.gamma
+    g = GAMMA
     k = g - 1.0
     vel = w[..., 1:4]
     vn = np.einsum("...d,...d->...", vel, nhat)

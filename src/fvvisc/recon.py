@@ -3,8 +3,9 @@
 Cell gradients come from an unweighted linear least-squares fit over
 face-adjacent neighbors (1D: central differences over cell centers).  Face
 values for viscous coefficients are produced by one of several interchangeable
-strategies; face gradients use the alpha-damped average of cell gradients.
-All operations are pure and broadcast over leading axes.
+strategies; face gradients use the alpha-damped average of cell gradients
+with the fixed damping coefficient ALPHA = 4/3.  All operations are pure and
+broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ import scipy.sparse as sp
 
 from .mesh import Grid1D, Mesh3D
 
-ALPHA_DEFAULT = 4.0 / 3.0
+ALPHA = 4.0 / 3.0  # face-gradient damping coefficient
+
+# An LSQ normal matrix is rank deficient when its smallest singular value
+# is below this fraction of its largest.
+_RANK_TOL = 1e-8
 
 STRATEGY_TAGS = ("lr-average", "arithmetic", "inverse-distance",
                  "one-sided-left", "one-sided-right", "weighted")
@@ -83,7 +88,7 @@ def gradient_1d(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     return g
 
 
-def _lsq_operator(mesh: Mesh3D, rank_tol: float = 1e-8):
+def _lsq_operator(mesh: Mesh3D):
     """Sparse gradient operators (Gx, Gy, Gz) such that grad_d = G_d @ field.
 
     Stencil per cell: face-adjacent neighbors, augmented with
@@ -109,7 +114,7 @@ def _lsq_operator(mesh: Mesh3D, rank_tol: float = 1e-8):
             dx = xc[stencil] - xc[c]
             g = dx.T @ dx
             sv = np.linalg.svd(g, compute_uv=False)
-            if sv[-1] > rank_tol * sv[0]:
+            if sv[-1] > _RANK_TOL * sv[0]:
                 break
             extra = sorted({m for k in stencil for m in nbrs[k]}
                            - {c} - set(stencil))
@@ -119,7 +124,7 @@ def _lsq_operator(mesh: Mesh3D, rank_tol: float = 1e-8):
         dx = xc[stencil] - xc[c]
         g = dx.T @ dx
         sv = np.linalg.svd(g, compute_uv=False)
-        if len(stencil) < 3 or sv[-1] <= rank_tol * sv[0]:
+        if len(stencil) < 3 or sv[-1] <= _RANK_TOL * sv[0]:
             raise SingularStencilError(
                 f"cell {c}: least-squares stencil of size {len(stencil)} "
                 "is rank deficient")
@@ -160,12 +165,11 @@ def reconstruct_lr(state_j, grad_j, x_j, state_k, grad_k, x_k, x_c):
     return w_l, w_r
 
 
-def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, x_j, x_k, nhat,
-                               alpha: float = ALPHA_DEFAULT):
+def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, x_j, x_k, nhat):
     """Face gradient: averaged cell gradients plus a damped face-normal jump.
 
     grad: (..., m, d); w: (..., m); nhat: (..., d) unit normal.
-    The damping scale is alpha / |(x_k - x_j) . nhat|.
+    The damping scale is ALPHA / |(x_k - x_j) . nhat|.
     """
     dn = np.einsum("...d,...d->...", np.asarray(x_k) - np.asarray(x_j),
                    np.asarray(nhat))
@@ -174,18 +178,17 @@ def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, x_j, x_k, nhat,
             "face with (x_k - x_j) orthogonal to the face normal")
     avg = 0.5 * (np.asarray(grad_j) + np.asarray(grad_k))
     jump = np.asarray(w_r) - np.asarray(w_l)
-    damp = (alpha / np.abs(dn))[..., None, None] * \
+    damp = (ALPHA / np.abs(dn))[..., None, None] * \
         jump[..., :, None] * np.asarray(nhat)[..., None, :]
     return avg + damp
 
 
-def face_derivative_1d(gx_j, gx_k, u_l, u_r, dx_cells,
-                       alpha: float = ALPHA_DEFAULT):
-    """1D face derivative: (u_x)_f = (gx_j + gx_k)/2 + alpha/(2 dx) (u_R - u_L).
+def face_derivative_1d(gx_j, gx_k, u_l, u_r, dx_cells):
+    """1D face derivative: (u_x)_f = (gx_j + gx_k)/2 + ALPHA/(2 dx) (u_R - u_L).
 
     dx_cells is the cell-center spacing x_{j+1} - x_j.
     """
-    return 0.5 * (gx_j + gx_k) + alpha / (2.0 * dx_cells) * (u_r - u_l)
+    return 0.5 * (gx_j + gx_k) + ALPHA / (2.0 * dx_cells) * (u_r - u_l)
 
 
 def _distances(x_f, x_j, x_k, value_ndim: int):

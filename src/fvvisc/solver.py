@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import diffusion1d, ns3d, physics
+from . import diffusion1d, ns3d, physics, recon
 
 
 class NonConvergenceError(Exception):
@@ -281,25 +281,24 @@ def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
 
 def _face_spectral_radii(problem, w):
     """Convective and viscous spectral radii per interior face (unit area)."""
-    cfg = problem.cfg
     o, k = problem.f_owner, problem.f_neighbor
     wf = 0.5 * (w[o] + w[k])
     vn = np.einsum("fd,fd->f", wf[:, 1:4], problem.f_nhat)
     c = np.sqrt(wf[:, 4])
     d = np.linalg.norm(problem.mesh.cell_centroid[k]
                        - problem.mesh.cell_centroid[o], axis=1)
-    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12), cfg)
+    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
     lam_v = 2.0 * mu / (wf[:, 0] * d) * max(4.0 / 3.0,
-                                            cfg.gamma / cfg.prandtl)
+                                            physics.GAMMA / physics.PRANDTL)
     return np.abs(vn) + c, lam_v
 
 
-def _prim_from_cons_jacobian(w, cfg):
+def _prim_from_cons_jacobian(w):
     """d(rho, v, T)/d(rho, rho v, rho E) evaluated at primitive states w."""
     rho = w[..., 0]
     vel = w[..., 1:4]
     t = w[..., 4]
-    gg1 = cfg.gamma * (cfg.gamma - 1.0)
+    gg1 = physics.GAMMA * (physics.GAMMA - 1.0)
     q2 = np.sum(vel ** 2, axis=-1)
     m = np.zeros(w.shape[:-1] + (5, 5))
     m[..., 0, 0] = 1.0
@@ -320,7 +319,6 @@ def _thin_layer_viscous_blocks(problem, w):
     C = (mu_f / d) diag-coupled rows for momentum, tau.v work, and heat
     conduction.  Returns (nf, 5, 5) blocks d(area F)/dU_o and d(area F)/dU_k.
     """
-    cfg = problem.cfg
     o, k = problem.f_owner, problem.f_neighbor
     wf = 0.5 * (w[o] + w[k])
     # The damped face gradient carries the difference term with coefficient
@@ -330,14 +328,14 @@ def _thin_layer_viscous_blocks(problem, w):
                            problem.mesh.cell_centroid[k]
                            - problem.mesh.cell_centroid[o],
                            problem.f_nhat))
-    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12), cfg)
-    coef = cfg.alpha * mu / d_n
+    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
+    coef = recon.ALPHA * mu / d_n
     c = np.zeros((len(o), 5, 5))
     for i in range(3):
         c[:, 1 + i, 1 + i] = (4.0 / 3.0) * coef
         c[:, 4, 1 + i] = (4.0 / 3.0) * coef * wf[:, 1 + i]
-    c[:, 4, 4] = coef / (cfg.prandtl * (cfg.gamma - 1.0))
-    m = _prim_from_cons_jacobian(wf, cfg)
+    c[:, 4, 4] = coef / (physics.PRANDTL * (physics.GAMMA - 1.0))
+    m = _prim_from_cons_jacobian(wf)
     cm = np.einsum("fij,fjk->fik", c, m)
     area = problem.f_area[:, None, None]
     return area * cm, -area * cm
@@ -352,7 +350,6 @@ def _jacobian_ns3d(problem, w, cfl):
     correction, since continuity carries no viscous flux).  Pinned rows are
     identity.
     """
-    cfg = problem.cfg
     mesh = problem.mesh
     nc = mesh.n_cells
     o, k = problem.f_owner, problem.f_neighbor
@@ -361,8 +358,8 @@ def _jacobian_ns3d(problem, w, cfl):
     lam = lam_c + lam_v
 
     eye = np.eye(5)
-    a_o = physics.inviscid_flux_jacobian(w[o], problem.f_nhat, cfg)
-    a_k = physics.inviscid_flux_jacobian(w[k], problem.f_nhat, cfg)
+    a_o = physics.inviscid_flux_jacobian(w[o], problem.f_nhat)
+    a_k = physics.inviscid_flux_jacobian(w[k], problem.f_nhat)
     v_o, v_k = _thin_layer_viscous_blocks(problem, w)
     blk_o = 0.5 * area[:, None, None] * (a_o + lam_c[:, None, None] * eye) + v_o
     blk_k = 0.5 * area[:, None, None] * (a_k - lam_c[:, None, None] * eye) + v_k
@@ -402,7 +399,6 @@ def solve_ns3d(problem, cfg: SolverConfig | None = None,
     """Drive the 3D MMS problem to steady state; returns (states, history)."""
     if cfg is None:
         cfg = NS3D_CONFIG
-    fcfg = problem.cfg
     if w0 is None:
         w0 = problem.initial_state()
     w0 = np.array(w0, dtype=float)
@@ -417,10 +413,10 @@ def solve_ns3d(problem, cfg: SolverConfig | None = None,
 
     def update_fn(w, d_res):
         du = d_res  # update in conservative variables
-        u = physics.prim_to_cons(w, fcfg)
+        u = physics.prim_to_cons(w)
         scale = 1.0
         for _ in range(25):
-            w_new = physics.cons_to_prim(u + scale * du, fcfg)
+            w_new = physics.cons_to_prim(u + scale * du)
             if np.all(w_new[:, 0] > 0.0) and np.all(w_new[:, 4] > 0.0):
                 w_new[problem.pinned] = problem.exact[problem.pinned]
                 return w_new

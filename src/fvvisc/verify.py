@@ -143,8 +143,8 @@ GRID_SIZES_1D = (7, 11, 15, 19, 23, 31, 47, 63)
 GRID_SIZES_3D = (7, 11, 15)
 
 
-def run_study_1d(strategies, sizes=GRID_SIZES_1D, regular: bool = False,
-                 perturbation: float = 0.3, seed: int = 0,
+def run_study_1d(strategies, sizes=GRID_SIZES_1D, perturbation: float = 0.3,
+                 seed: int = 0,
                  solver_cfg: solver.SolverConfig | None = None,
                  volume_weighted: bool = False,
                  out_dir: str | None = None):
@@ -162,8 +162,7 @@ def run_study_1d(strategies, sizes=GRID_SIZES_1D, regular: bool = False,
         rec = ConvergenceRecord(strat.name, VAR_NAMES_1D)
         prev = None   # (grid, u) of the last converged level
         for n in sizes:
-            grid = generate_grid_1d(n, regular=regular,
-                                    perturbation=perturbation, seed=seed + n)
+            grid = generate_grid_1d(n, perturbation=perturbation, seed=seed + n)
             problem = diffusion1d.Diffusion1DProblem(grid, strat)
             u0 = None
             if prev is not None:

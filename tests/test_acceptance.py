@@ -68,7 +68,7 @@ def test_1d_irregular_orders(study_1d, strategy, band):
 def study_omega():
     names = [f"weighted:{w:g}" for w in (0.5, 0.6, 0.75, 1.0)]
     return verify.run_study_1d(names, sizes=verify.GRID_SIZES_1D,
-                               regular=True, seed=SEED)
+                               perturbation=0.0, seed=SEED)
 
 
 @pytest.mark.parametrize("omega,band", [
@@ -165,10 +165,9 @@ test_sutherland_reference_value_exact = _invariants(
 # Criterion 6: face-value accuracy requirement checks
 # ---------------------------------------------------------------------------
 
-def _face_value_errors(strategy_name, n, regular=False, seed=3):
+def _face_value_errors(strategy_name, n, seed=3):
     """L1 of |T_f - T(x_f)| over interior faces for T(x) = exp(2x)."""
-    grid = mesh.generate_grid_1d(n, regular=regular, perturbation=0.3,
-                                 seed=seed)
+    grid = mesh.generate_grid_1d(n, perturbation=0.3, seed=seed)
     t = np.exp(2.0 * grid.cell_centers)
     g = recon.gradient_1d(grid, t)
     strat = Strategy.from_name(strategy_name)
@@ -200,7 +199,7 @@ def test_face_value_second_order_lr_average_irregular():
 
 
 def test_regular_grid_linear_exactness_arithmetic():
-    grid = mesh.generate_grid_1d(20, regular=True)
+    grid = mesh.generate_grid_1d(20, perturbation=0.0)
     t = 3.0 * grid.cell_centers + 0.5
     g = recon.gradient_1d(grid, t)
     xf = grid.face_coords

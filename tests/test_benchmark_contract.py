@@ -1,0 +1,81 @@
+"""The names and calls the benchmark in ``perfbench/`` relies on.
+
+``perfbench/tracing.py`` wraps fvvisc module attributes by name, and
+``perfbench/workloads.py`` builds its solves through a fixed set of calls.
+Renaming or removing any of them breaks the benchmark without failing a
+unit test, so both are checked here at the benchmark's smoke sizes.
+"""
+
+import importlib.util
+import inspect
+import math
+import pathlib
+
+import pytest
+
+from fvvisc import diffusion1d, mesh, ns3d, recon, solver, verify
+from fvvisc.recon import Strategy
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves(tracing):
+    targets = [t for group in tracing.SPANS.values() for t in group]
+    assert targets
+    for target in targets:
+        _, _, fn = tracing._resolve(target)
+        assert callable(fn), target
+
+
+def test_traced_arguments_keep_their_names():
+    # the tracer reads these arguments by name
+    params = inspect.signature(solver.solve_defect_correction).parameters
+    assert "apply_update_fn" in params
+    assert list(inspect.signature(solver._LinearSolver.__init__)
+                .parameters)[1] == "mat"
+    assert list(inspect.signature(solver._LinearSolver.solve)
+                .parameters)[1] == "rhs"
+
+
+def test_1d_workload_calls():
+    strategies = ("lr-average", "arithmetic", "inverse-distance",
+                  "one-sided-left", "one-sided-right")
+    sizes, seed = (7, 11, 15), 0
+    for name in strategies:
+        for n in sizes:
+            grid = mesh.generate_grid_1d(n, seed=seed + n)
+            diffusion1d.Diffusion1DProblem(grid, Strategy.from_name(name))
+    records = verify.run_study_1d(strategies, sizes=sizes, seed=seed)
+    assert set(records) == set(strategies)
+    col = records["arithmetic"].error_column(0)
+    assert len(col) == len(sizes) and not any(math.isnan(e) for e in col)
+
+
+def test_3d_workload_calls():
+    m = mesh.generate_tet_mesh(3, perturbation=0.1, seed=3)
+    problems = [ns3d.NS3DProblem(m, Strategy.from_name(s))
+                for s in ("lr-average", "arithmetic", "inverse-distance")]
+    recon.lsq_gradient_3d(m, problems[0].exact)
+    cfg = solver.SolverConfig(target_drop=7.0, linear_sweeps=30,
+                              jacobian_lag=8)
+    w, history = solver.solve_ns3d(problems[1], cfg)
+    assert history.iterations[-1][0] > 0
+    err = verify.l1_error(w, problems[1].exact)
+    assert len(err) == 5 and all(e > 0.0 for e in err)
+
+
+def test_injected_failure_calls():
+    # perfbench/worker.py raises this in place of a solve
+    exc = solver.NonConvergenceError("injected", solver.IterationHistory())
+    assert exc.history.iterations == []
+    assert issubclass(solver.SolverDivergenceError, Exception)

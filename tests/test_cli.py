@@ -1,14 +1,21 @@
 """CLI: config layering, exit codes, artifacts, and order-band checks."""
 
+import pathlib
+import re
+import shlex
+
 import numpy as np
 import pytest
 
 from fvvisc import cli, verify
 from fvvisc.verify import ConvergenceRecord
 
-# keys that are not configurable: alpha and the flow constants are the
-# FlowConfig() defaults, the omegas are study-1d-omega's default strategies,
-# and the CFL schedule and linear solve are fixed per problem in the solver
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# keys that are not configurable: alpha and the flow constants are module
+# constants (recon.ALPHA, physics.MACH ...), the omegas are study-1d-omega's
+# default strategies, and the CFL schedule and linear solve are fixed per
+# problem in the solver
 REMOVED_KEYS = ("omegas", "alpha", "flow.mach", "flow.reynolds", "flow.t_ref",
                 "flow.sutherland_c", "flow.gamma", "flow.prandtl",
                 "solver.cfl_initial", "solver.cfl_growth", "solver.cfl_max",
@@ -154,6 +161,44 @@ class TestMainExitCodes:
                        "FVVISC_FLOW_MACH"]
         assert not (tmp_path / "effective_config.cfg").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--grids", "2"], "grid size 2 is below the minimum 3"),
+        (["study-3d", "--grids", "1"], "grid size 1 is below the minimum 2"),
+        (["study-1d", "--grids", ","], "grids is empty"),
+        (["study-1d", "--grids", "11,7"], "grids must be strictly increasing"),
+        (["study-1d", "--grids", "7,7"], "grids must be strictly increasing"),
+        (["study-1d", "--perturbation", "0.7", "--grids", "7,11"],
+         "perturbation must be in [0, 0.5)"),
+        (["solve", "--perturbation", "-0.1"],
+         "perturbation must be in [0, 0.5)"),
+        (["study-1d", "--seed", "-100", "--grids", "7,11"],
+         "seed must be at least 0"),
+        (["solve", "--seed", "-1"], "seed must be at least 0"),
+        (["study-1d", "--strategies", ",", "--grids", "7,11"],
+         "no strategies given"),
+    ])
+    def test_malformed_run_value_exits_2(self, tmp_path, capsys, argv,
+                                         message):
+        rc = cli.main([*argv, "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {message}")
+        assert not (tmp_path / "effective_config.cfg").exists()
+
+    def test_degenerate_mesh_is_a_config_error(self, tmp_path, capsys):
+        # n = 5 at seed 1 and perturbation 0.3 inverts a tet
+        rc = cli.main(["solve", "--problem", "ns3d", "--grids", "5",
+                       "--seed", "1", "--perturbation", "0.3",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "solution.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:")
+        assert "non-positive volume" in err[0]
+        assert "--perturbation" in err[0]
+
     def test_bad_solver_value_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--set", "solver.max_iterations=0",
                        "--grids", "7", "--strategies", "arithmetic",
@@ -256,26 +301,21 @@ class TestSolveArtifacts:
         assert lines[0] != lines[1]
 
 
-class TestMeshExport:
-    def test_writes_vtk(self, tmp_path):
-        out = tmp_path / "mesh.vtk"
-        rc = cli.main(["mesh-export", "--grids", "3", "--output", str(out)])
-        assert rc == cli.EXIT_OK
-        text = out.read_text().splitlines()
-        assert text[0] == "# vtk DataFile Version 2.0"
-
-    def test_degenerate_mesh_is_a_config_error(self, tmp_path, capsys):
-        # n = 5 at seed 1 and the default perturbation inverts a tet
-        out = tmp_path / "mesh.vtk"
-        rc = cli.main(["mesh-export", "--grids", "5", "--seed", "1",
-                       "--output", str(out)])
-        assert rc == cli.EXIT_CONFIG
-        assert not out.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("config error:")
-        assert "non-positive volume" in err[0]
-        assert "--perturbation" in err[0]
+class TestReadme:
+    def test_usage_commands_parse(self):
+        # every command of the README's Usage block is one the CLI accepts
+        usage = re.search(r"## Usage\n+```sh\n(.*?)```", README.read_text(),
+                          re.S).group(1)
+        commands = [shlex.split(line)[1:] for line in usage.splitlines()
+                    if line.startswith("fvvisc ")]
+        assert len(commands) >= 5
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail("README command does not parse: fvvisc "
+                            + shlex.join(argv))
 
 
 class TestSelftest:

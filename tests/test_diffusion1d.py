@@ -7,9 +7,9 @@ from fvvisc import diffusion1d, mesh, recon
 from fvvisc.recon import Strategy
 
 
-def make_problem(n=15, strategy="arithmetic", regular=False, seed=0, **kw):
-    g = mesh.generate_grid_1d(n, regular=regular, seed=seed)
-    return diffusion1d.Diffusion1DProblem(g, Strategy.from_name(strategy), **kw)
+def make_problem(n=15, strategy="arithmetic", perturbation=0.3, seed=0):
+    g = mesh.generate_grid_1d(n, perturbation=perturbation, seed=seed)
+    return diffusion1d.Diffusion1DProblem(g, Strategy.from_name(strategy))
 
 
 def face_viscosity(grid, strategy, u):
@@ -60,7 +60,7 @@ class TestResidual:
     def test_truncation_error_shrinks_under_refinement(self):
         norms = []
         for n in (16, 32, 64):
-            p = make_problem(n=n, regular=True)
+            p = make_problem(n=n, perturbation=0.0)
             ue = diffusion1d.exact_solution(p.grid.cell_centers)
             res = diffusion1d.residual_1d(p, ue)
             norms.append(np.abs(res).mean())
@@ -78,7 +78,7 @@ class TestResidual:
         assert np.abs(res["one-sided-left"] - res["one-sided-right"]).max() > 1e-6
 
     def test_one_sided_viscosities_pick_cell_values(self):
-        g = mesh.generate_grid_1d(7, regular=True)
+        g = mesh.generate_grid_1d(7, perturbation=0.0)
         u = diffusion1d.exact_solution(g.cell_centers)
         left = face_viscosity(g, Strategy("one-sided-left"), u)
         right = face_viscosity(g, Strategy("one-sided-right"), u)

@@ -8,7 +8,7 @@ from fvvisc import mesh
 
 class TestGrid1D:
     def test_regular_grid_is_uniform(self):
-        g = mesh.generate_grid_1d(10, regular=True)
+        g = mesh.generate_grid_1d(10, perturbation=0.0)
         assert np.allclose(np.diff(g.nodes), 0.1, atol=1e-15)
 
     def test_endpoints_fixed(self):
@@ -123,28 +123,3 @@ class TestTetMesh:
         with pytest.raises(ValueError):
             mesh.generate_tet_mesh(1)
 
-
-class TestVtkExport:
-    def test_legacy_vtk_structure(self, tet_mesh, tmp_path):
-        path = tmp_path / "mesh.vtk"
-        mesh.write_vtk(tet_mesh, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# vtk DataFile Version 2.0"
-        assert lines[2] == "ASCII"
-        assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-        assert lines[4] == f"POINTS {tet_mesh.vertices.shape[0]} double"
-        cells_at = 5 + tet_mesh.vertices.shape[0]
-        assert lines[cells_at] == \
-            f"CELLS {tet_mesh.n_cells} {5 * tet_mesh.n_cells}"
-        assert lines[cells_at + tet_mesh.n_cells + 1] == \
-            f"CELL_TYPES {tet_mesh.n_cells}"
-        assert lines[-1] == "10"
-
-    def test_vertices_roundtrip(self, tet_mesh, tmp_path):
-        path = tmp_path / "mesh.vtk"
-        mesh.write_vtk(tet_mesh, str(path))
-        lines = path.read_text().splitlines()
-        nv = tet_mesh.vertices.shape[0]
-        parsed = np.array([[float(t) for t in ln.split()]
-                           for ln in lines[5:5 + nv]])
-        assert np.array_equal(parsed, tet_mesh.vertices)

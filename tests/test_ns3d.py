@@ -6,8 +6,6 @@ import pytest
 from fvvisc import mesh, ns3d, physics
 from fvvisc.recon import Strategy
 
-CFG = physics.FlowConfig()
-
 
 @pytest.fixture(scope="module")
 def small_mesh():
@@ -16,17 +14,17 @@ def small_mesh():
 
 @pytest.fixture(scope="module")
 def problem(small_mesh):
-    return ns3d.NS3DProblem(small_mesh, Strategy.from_name("arithmetic"), CFG)
+    return ns3d.NS3DProblem(small_mesh, Strategy.from_name("arithmetic"))
 
 
-def fd_flux_divergence(points, cfg, h=1e-3):
+def fd_flux_divergence(points, h=1e-3):
     """4th-order central divergence of the analytic total flux."""
     div = np.zeros((len(points), 5))
     for d in range(3):
         for s, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
             q = points.copy()
             q[:, d] += s * h
-            div += c / (12.0 * h) * ns3d.mms_total_flux(q, cfg)[:, d, :]
+            div += c / (12.0 * h) * ns3d.mms_total_flux(q)[:, d, :]
     return div
 
 
@@ -62,15 +60,15 @@ class TestForcingOracle:
         # finite-difference divergence of the numerically composed flux
         rng = np.random.default_rng(6)
         pts = rng.uniform(0.05, 0.45, (100, 3))
-        f = ns3d.mms_forcing(pts, CFG)
-        fd = fd_flux_divergence(pts, CFG)
+        f = ns3d.mms_forcing(pts)
+        fd = fd_flux_divergence(pts)
         rel = np.abs(f - fd).max() / np.abs(f).max()
         assert rel < 1e-7
 
     def test_forcing_deterministic(self):
         pts = np.array([[0.1, 0.2, 0.3]])
-        a = ns3d.mms_forcing(pts, CFG)
-        b = ns3d.mms_forcing(pts, CFG)
+        a = ns3d.mms_forcing(pts)
+        b = ns3d.mms_forcing(pts)
         assert np.array_equal(a, b)
 
 
@@ -103,7 +101,7 @@ class TestResidual:
         # so the meaningful check is that the exact solution leaves a much
         # smaller residual than a zeroth-order guess on the same mesh.
         m = mesh.generate_tet_mesh(4, perturbation=0.2, seed=3)
-        p = ns3d.NS3DProblem(m, Strategy.from_name("arithmetic"), CFG)
+        p = ns3d.NS3DProblem(m, Strategy.from_name("arithmetic"))
         r_exact = np.abs(ns3d.residual_ns3d(p, p.exact)).mean()
         r_init = np.abs(ns3d.residual_ns3d(p, p.initial_state())).mean()
         assert r_exact < 0.05 * r_init

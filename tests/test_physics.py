@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from fvvisc import physics
-from fvvisc.physics import FlowConfig
-
-
-CFG = FlowConfig()
 
 
 def random_states(n, seed=0):
@@ -27,42 +23,39 @@ def random_normals(n, seed=1):
 
 class TestFlowConfig:
     def test_defaults(self):
-        assert CFG.mach == 0.1
-        assert CFG.reynolds == 0.1
-        assert CFG.t_ref == 300.0
-        assert CFG.prandtl == 0.72
-
-    def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError):
-            FlowConfig(mach=0.0)
-        with pytest.raises(ValueError):
-            FlowConfig(gamma=1.0)
+        # the flow condition is fixed: module constants of physics
+        assert physics.MACH == 0.1
+        assert physics.REYNOLDS == 0.1
+        assert physics.T_REF == 300.0
+        assert physics.SUTHERLAND_C == 110.5
+        assert physics.GAMMA == 1.4
+        assert physics.PRANDTL == 0.72
 
 
 class TestStateConversions:
     def test_roundtrip(self):
         w = random_states(64)
-        back = physics.cons_to_prim(physics.prim_to_cons(w, CFG), CFG)
+        back = physics.cons_to_prim(physics.prim_to_cons(w))
         assert np.abs(back - w).max() < 1e-13
 
     def test_pressure_equation_of_state(self):
         w = np.array([[1.2, 0.0, 0.0, 0.0, 0.7]])
-        assert abs(physics.pressure(w, CFG)[0] - 1.2 * 0.7 / 1.4) < 1e-15
+        assert abs(physics.pressure(w)[0] - 1.2 * 0.7 / 1.4) < 1e-15
 
 
 class TestSutherland:
     def test_reference_value_exact(self):
-        mu = physics.sutherland_viscosity(np.array([1.0]), CFG)[0]
-        assert mu == CFG.mach / CFG.reynolds
+        mu = physics.sutherland_viscosity(np.array([1.0]))[0]
+        assert mu == physics.MACH / physics.REYNOLDS
 
     def test_monotone_increasing_near_reference(self):
         t = np.linspace(0.5, 2.0, 20)
-        mu = physics.sutherland_viscosity(t, CFG)
+        mu = physics.sutherland_viscosity(t)
         assert np.all(np.diff(mu) > 0.0)
 
     def test_nonpositive_temperature_raises(self):
         with pytest.raises(physics.NonpositiveTemperatureError):
-            physics.sutherland_viscosity(np.array([0.0]), CFG)
+            physics.sutherland_viscosity(np.array([0.0]))
 
 
 class TestViscousFlux:
@@ -71,14 +64,14 @@ class TestViscousFlux:
         flux = physics.viscous_normal_flux(
             np.zeros((n, 3, 3)), np.zeros((n, 3)),
             np.tile([0.3, 0.2, 0.1], (n, 1)), np.ones(n),
-            random_normals(n), CFG)
+            random_normals(n))
         assert np.abs(flux).max() == 0.0
 
     def test_no_mass_diffusion(self):
         rng = np.random.default_rng(3)
         flux = physics.viscous_normal_flux(
             rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3)),
-            rng.normal(size=(4, 3)), np.ones(4), random_normals(4), CFG)
+            rng.normal(size=(4, 3)), np.ones(4), random_normals(4))
         assert np.abs(flux[:, 0]).max() == 0.0
 
     def test_stress_is_traceless_plus_divergence(self):
@@ -101,14 +94,14 @@ class TestInviscidFlux:
     def test_mass_flux(self):
         w = np.array([[1.1, 0.4, 0.0, 0.0, 0.9]])
         n = np.array([[1.0, 0.0, 0.0]])
-        f = physics.inviscid_normal_flux(w, n, CFG)
+        f = physics.inviscid_normal_flux(w, n)
         assert abs(f[0, 0] - 1.1 * 0.4) < 1e-15
 
     def test_static_state_flux_is_pressure_only(self):
         w = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
         n = random_normals(1, seed=9)
-        f = physics.inviscid_normal_flux(w, n, CFG)
-        p = physics.pressure(w, CFG)[0]
+        f = physics.inviscid_normal_flux(w, n)
+        p = physics.pressure(w)[0]
         assert np.allclose(f[0, 1:4], p * n[0], atol=1e-15)
         assert abs(f[0, 0]) < 1e-15
         assert abs(f[0, 4]) < 1e-15
@@ -118,8 +111,8 @@ class TestRoeFlux:
     def test_consistency(self):
         w = random_states(32, seed=5)
         n = random_normals(32, seed=6)
-        f = physics.roe_flux(w, w, n, CFG)
-        exact = physics.inviscid_normal_flux(w, n, CFG)
+        f = physics.roe_flux(w, w, n)
+        exact = physics.inviscid_normal_flux(w, n)
         assert np.abs(f - exact).max() < 1e-13
 
     def test_rotation_antisymmetry(self):
@@ -127,8 +120,8 @@ class TestRoeFlux:
         wl = random_states(16, seed=7)
         wr = random_states(16, seed=8)
         n = random_normals(16, seed=9)
-        a = physics.roe_flux(wl, wr, n, CFG)
-        b = physics.roe_flux(wr, wl, -n, CFG)
+        a = physics.roe_flux(wl, wr, n)
+        b = physics.roe_flux(wr, wl, -n)
         assert np.abs(a + b).max() < 1e-12
 
     def test_supersonic_upwinding(self):
@@ -136,8 +129,8 @@ class TestRoeFlux:
         wl = np.array([[1.0, 3.0, 0.0, 0.0, 1.0]])
         wr = np.array([[1.1, 3.2, 0.0, 0.0, 1.05]])
         n = np.array([[1.0, 0.0, 0.0]])
-        f = physics.roe_flux(wl, wr, n, CFG)
-        exact = physics.inviscid_normal_flux(wl, n, CFG)
+        f = physics.roe_flux(wl, wr, n)
+        exact = physics.inviscid_normal_flux(wl, n)
         assert np.abs(f - exact).max() < 1e-12
 
     def test_dissipation_reduces_to_jump_damping(self):
@@ -146,9 +139,9 @@ class TestRoeFlux:
         wl = np.array([[1.0, 0.1, 0.0, 0.0, 1.0]])
         wr = np.array([[1.2, 0.1, 0.0, 0.0, 1.1]])
         n = np.array([[1.0, 0.0, 0.0]])
-        f = physics.roe_flux(wl, wr, n, CFG)
-        central = 0.5 * (physics.inviscid_normal_flux(wl, n, CFG)
-                         + physics.inviscid_normal_flux(wr, n, CFG))
+        f = physics.roe_flux(wl, wr, n)
+        central = 0.5 * (physics.inviscid_normal_flux(wl, n)
+                         + physics.inviscid_normal_flux(wr, n))
         assert np.abs(f - central).max() > 1e-4
 
 
@@ -156,15 +149,15 @@ class TestFluxJacobian:
     def test_matches_finite_differences(self):
         w = random_states(6, seed=11)
         n = random_normals(6, seed=12)
-        jac = physics.inviscid_flux_jacobian(w, n, CFG)
-        u0 = physics.prim_to_cons(w, CFG)
+        jac = physics.inviscid_flux_jacobian(w, n)
+        u0 = physics.prim_to_cons(w)
         eps = 1e-7
         for col in range(5):
             du = np.zeros_like(u0)
             du[:, col] = eps * np.maximum(1.0, np.abs(u0[:, col]))
             fp = physics.inviscid_normal_flux(
-                physics.cons_to_prim(u0 + du, CFG), n, CFG)
+                physics.cons_to_prim(u0 + du), n)
             fm = physics.inviscid_normal_flux(
-                physics.cons_to_prim(u0 - du, CFG), n, CFG)
+                physics.cons_to_prim(u0 - du), n)
             fd = (fp - fm) / (2.0 * du[:, col][:, None])
             assert np.abs(jac[:, :, col] - fd).max() < 1e-6

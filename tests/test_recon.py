@@ -43,7 +43,7 @@ class TestGradient1D:
     def test_second_order_interior(self):
         errs = []
         for n in (16, 32):
-            g = mesh.generate_grid_1d(n, regular=True)
+            g = mesh.generate_grid_1d(n, perturbation=0.0)
             u = np.sin(g.cell_centers)
             grad = recon.gradient_1d(g, u)
             errs.append(np.abs(grad[1:-1] - np.cos(g.cell_centers[1:-1])).max())
@@ -120,7 +120,7 @@ class TestAlphaDampedGradient:
             recon.alpha_damped_face_gradient(g, g, w, w, x_j, x_k, nhat)
 
     def test_face_derivative_1d_matches_formula(self):
-        val = recon.face_derivative_1d(1.0, 3.0, 0.5, 0.9, 0.1, alpha=4.0 / 3.0)
+        val = recon.face_derivative_1d(1.0, 3.0, 0.5, 0.9, 0.1)
         assert abs(val - (2.0 + (4.0 / 3.0) / 0.2 * 0.4)) < 1e-14
 
 
