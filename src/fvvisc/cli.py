@@ -62,6 +62,10 @@ CONFIG_SCHEMA = {
 OMEGA_STRATEGIES = ["weighted:0.5", "weighted:0.6", "weighted:0.75",
                     "weighted:1"]
 
+#: solve's defaults for every problem: one grid size and one strategy (solve
+#: rejects a list of more than one).
+SOLVE_DEFAULTS = {"grids": [7], "strategies": ["lr-average"]}
+
 
 class ConfigError(Exception):
     """Invalid configuration (unknown key, bad value, unreadable file)."""
@@ -289,9 +293,10 @@ def _print_summary(records: dict, variable=0) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _check_run_values(cfg: dict, entry: Problem) -> None:
+def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
     """Reject grid, perturbation, seed and strategy values that the grid
-    generators and the studies cannot run."""
+    generators and the studies cannot run, and (``single``) more than one
+    grid size or strategy."""
     grids = cfg["grids"]
     if not grids:
         raise ConfigError("grids is empty")
@@ -309,17 +314,21 @@ def _check_run_values(cfg: dict, entry: Problem) -> None:
         raise ConfigError(f"seed must be at least 0, got {cfg['seed']}")
     if not cfg["strategies"]:
         raise ConfigError("no strategies given")
+    for key in ("grids", "strategies") if single else ():
+        if len(cfg[key]) > 1:
+            raise ConfigError(f"solve takes one value of {key}, got "
+                              + _format_value(key, cfg[key]))
 
 
-def _prepare(args, problem: str, omega_sweep: bool = False):
+def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     """Layered config, strategies and solver config of one problem run,
-    validated before the effective config is written.  The omega sweep
-    defaults to OMEGA_STRATEGIES."""
-    omega_defaults = {"strategies": OMEGA_STRATEGIES} if omega_sweep else {}
+    validated before the effective config is written.  ``run_defaults``
+    override the problem's defaults (OMEGA_STRATEGIES, SOLVE_DEFAULTS);
+    ``single`` allows one grid size and one strategy only."""
     entry = PROBLEMS[problem]
     cfg = build_config(_cli_overrides(args), args.config,
                        {"problem": problem, **entry.defaults,
-                        **omega_defaults})
+                        **run_defaults})
     solver_keys = {key.split(".", 1)[1]: value for key, value in cfg.items()
                    if key.startswith("solver.") and value is not None}
     try:
@@ -327,7 +336,7 @@ def _prepare(args, problem: str, omega_sweep: bool = False):
         solver_cfg = dataclasses.replace(entry.solver_defaults, **solver_keys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_run_values(cfg, entry)
+    _check_run_values(cfg, entry, single)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg["out_dir"],
                                              "effective_config.cfg"))
@@ -339,7 +348,8 @@ def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
     are all second order is checked in the tighter band +/-0.1 (the
     paper's central claim)."""
     entry = PROBLEMS[problem]
-    cfg, strategies, solver_cfg = _prepare(args, problem, omega_sweep)
+    cfg, strategies, solver_cfg = _prepare(
+        args, problem, {"strategies": OMEGA_STRATEGIES} if omega_sweep else {})
     records = entry.study(
         strategies, sizes=cfg["grids"], perturbation=_perturbation(cfg),
         seed=cfg["seed"], solver_cfg=solver_cfg,
@@ -358,7 +368,8 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"unknown problem {problem!r}; "
                           f"valid: {', '.join(PROBLEMS)}")
     entry = PROBLEMS[problem]
-    cfg, strategies, solver_cfg = _prepare(args, problem)
+    cfg, strategies, solver_cfg = _prepare(args, problem, SOLVE_DEFAULTS,
+                                           single=True)
     history_path = os.path.join(cfg["out_dir"], "history.csv")
     built, exact, volumes = entry.build(cfg, strategies[0])
     try:
@@ -450,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=functools.partial(cmd_study, problem="ns3d"))
 
-    p = sub.add_parser("solve", help="single run with iteration history")
+    p = sub.add_parser("solve", help="one grid size and one strategy, with "
+                       "iteration history")
     _add_common(p)
     p.add_argument("--problem", choices=tuple(PROBLEMS))
     p.set_defaults(fn=cmd_solve)

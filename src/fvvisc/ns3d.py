@@ -104,8 +104,10 @@ def _forcing_function():
                 + heat[d]]
         for i in range(5):
             forcing[i] += sp.diff(flux[i], coords[d])
-    forcing = [sp.simplify(f) for f in forcing]
-    return sp.lambdify((x, y, z), forcing, "numpy")
+    # Not simplified: sp.simplify costs seconds per process and changes the
+    # values only at rounding level; common subexpressions are shared in the
+    # lambdified code instead.
+    return sp.lambdify((x, y, z), forcing, "numpy", cse=True)
 
 
 def mms_forcing(points: np.ndarray) -> np.ndarray:

@@ -1,17 +1,26 @@
-"""Implicit defect-correction solver driving both problems to steady state.
+"""Implicit solvers driving both problems to steady state.
 
-Each nonlinear iteration solves an approximate-Jacobian linear system against
-the full residual and applies the update, with a diagonal pseudo-time term
-under pseudo-transient continuation (CFL grows geometrically on accepted
-steps, retreats on rejected ones).  The 1D Jacobian is a column-colored
-finite-difference Jacobian of the full nonlinear residual: the residual
-stencil is 5 cells wide (the central-difference gradients of
+Both problems share one nonlinear loop, ``solve_defect_correction``: each
+iteration solves a linear system for an update against the full residual,
+applies it, and retreats on a step that blows the residual up or leaves the
+physical state space.
+
+1D: pseudo-transient Newton.  The Jacobian is a column-colored
+finite-difference Jacobian of the full nonlinear residual plus a diagonal
+pseudo-time term whose CFL grows geometrically on accepted steps: the
+residual stencil is 5 cells wide (the central-difference gradients of
 ``recon.gradient_1d`` reach one cell past each face neighbor), so 5
 perturbed evaluations per build fill the pentadiagonal band, bit-identical
-to perturbing one column at a time.  The 3D Jacobian combines the
-first-order upwind inviscid flux Jacobian with thin-layer viscous blocks.
-The linear system is solved either by sparse LU (default) or by
-Gauss-Seidel sweeps.
+to perturbing one column at a time, and each banded system is solved by
+sparse LU.
+
+3D: inexact Newton-Krylov from the manufactured solution.  The MMS problem
+is nearly linear around ``problem.exact``, so the solve starts there and
+takes Newton steps whose direction GMRES finds from a Jacobian-free
+(finite-difference directional derivative) product of the second-order
+residual, left-preconditioned by Gauss-Seidel sweeps on a first-order
+Jacobian (first-order upwind inviscid flux Jacobian plus thin-layer viscous
+blocks).  The residual target is still set by the free-stream state.
 """
 
 from __future__ import annotations
@@ -44,9 +53,10 @@ class SolverConfig:
 
     ``target_drop`` is the number of orders of magnitude of L1 residual
     reduction; ``linear_sweeps`` = 0 solves each linear system directly,
-    > 0 applies that many lexicographic Gauss-Seidel sweeps instead.
-    ``jacobian_lag`` reuses the factored Jacobian for that many nonlinear
-    iterations (the defect-correction update tolerates a stale matrix).
+    > 0 applies that many lexicographic Gauss-Seidel sweeps instead (in 3D,
+    the sweeps are the GMRES preconditioner).  ``jacobian_lag`` reuses the
+    factored Jacobian (in 3D, the preconditioner) for that many nonlinear
+    iterations.
     """
 
     target_drop: float = 8.0
@@ -61,9 +71,10 @@ class SolverConfig:
             raise ValueError("jacobian_lag must be at least 1")
 
 
-#: 3D defaults: LU fill is prohibitive for the 5x5-block Jacobians, so 30
-#: Gauss-Seidel sweeps on a Jacobian refreshed every 8 iterations, and a
-#: 7-order residual drop (see ``verify.run_study_3d``).
+#: 3D defaults: LU fill is prohibitive for the 5x5-block Jacobians, so the
+#: preconditioner is 30 Gauss-Seidel sweeps on a first-order Jacobian
+#: refreshed every 8 Newton steps, and a 7-order residual drop (see
+#: ``verify.run_study_3d``).
 NS3D_CONFIG = SolverConfig(target_drop=7.0, linear_sweeps=30, jacobian_lag=8)
 
 
@@ -114,38 +125,84 @@ class _LinearSolver:
         return x
 
 
+#: Largest pseudo-time CFL; the 3D Newton-Krylov preconditioner starts there.
+_CFL_MAX = 1e8
+
+#: GMRES settings of a Newton-Krylov step: relative tolerance, restart
+#: length and number of restart cycles.
+_GMRES_RTOL = 1e-4
+_GMRES_RESTART = 60
+_GMRES_MAXITER = 10
+
+
+def _krylov_step(matvec, precond, rhs):
+    """Inexact Newton direction: GMRES on matvec, left-preconditioned by
+    precond.solve.  An unconverged GMRES still returns its best iterate;
+    the nonlinear loop judges the step by its residual."""
+    n = rhs.size
+    du, _ = spla.gmres(spla.LinearOperator((n, n), matvec=matvec), rhs,
+                       M=spla.LinearOperator((n, n), matvec=precond.solve),
+                       rtol=_GMRES_RTOL, restart=_GMRES_RESTART,
+                       maxiter=_GMRES_MAXITER)
+    return du
+
+
 def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
                             apply_update_fn, cfg: SolverConfig,
-                            history: IterationHistory | None = None):
-    """Generic defect-correction loop with SER pseudo-time control.
+                            history: IterationHistory | None = None, *,
+                            reference=None, cfl0: float = 10.0,
+                            matvec_fn=None):
+    """Generic implicit loop with SER pseudo-time control.
 
     residual_fn(u) -> residual array; jacobian_fn(u, cfl) -> sparse matrix
     over the flattened unknowns; l1_norm_fn(res) -> per-equation norms;
     apply_update_fn(u, du) -> new u (raises SolverDivergenceError if no
     damping of the update yields a valid state).  Returns (u, history).
 
-    Pseudo-transient continuation: the CFL starts at 10, doubles after each
-    accepted step up to 1e8, and is cut back whenever a step blows the
-    residual up or leaves the physical state space.  An absolute L1
-    residual of 1e-14 also counts as converged.  The Jacobian is rebuilt at
-    most every ``jacobian_lag`` accepted iterations or when the CFL moves by
-    more than a factor of two since the last factorization.
+    Each step solves jacobian_fn(u, cfl) du = -res.  With ``matvec_fn``,
+    matvec_fn(u, res) returns the product v -> J(u) v of the true Jacobian
+    and the step is inexact Newton-Krylov instead: GMRES on that product,
+    left-preconditioned by the factored jacobian_fn matrix.
+
+    The target is ``cfg.target_drop`` orders below the residual norms of
+    ``reference`` (default: u0).  A separate reference state is recorded as
+    history row 0, and then at least one step is taken, since u0 may
+    already lie below the target without being a solution (the exact MMS
+    state does).
+
+    Pseudo-transient continuation: the CFL starts at ``cfl0``, doubles after
+    each accepted step up to 1e8, and is cut back whenever a step blows the
+    residual up or leaves the physical state space; 12 rejections in a row
+    raise NonConvergenceError with the last reason.  An absolute L1 residual
+    of 1e-14 also counts as converged.  ``cfg.max_iterations`` caps the
+    steps; the state after the last allowed step is still checked.  The Jacobian is rebuilt at most
+    every ``jacobian_lag`` accepted iterations or when the CFL moves by more
+    than a factor of two since the last factorization.
     """
     if history is None:
         history = IterationHistory()
     u = u0
     res = residual_fn(u)
-    norms0 = np.maximum(l1_norm_fn(res), 1e-300)
+    min_steps = 0
+    if reference is None:
+        norms0 = l1_norm_fn(res)
+    else:
+        norms0 = l1_norm_fn(residual_fn(reference))
+        history.append(0, norms0, cfl0)
+        min_steps = 1
+    norms0 = np.maximum(norms0, 1e-300)
     target = 10.0 ** (-cfg.target_drop)
-    cfl = 10.0
+    cfl = cfl0
     lin = None
     built = (None, -1)          # (cfl used for the factored Jacobian, iter)
-    for it in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations + 1):
         norms = l1_norm_fn(res)
         cur = float(np.max(norms / norms0))
-        if cur <= target or np.max(norms) <= 1e-14:
+        if it >= min_steps and (cur <= target or np.max(norms) <= 1e-14):
             history.append(it, norms, cfl)
             return u, history
+        if it == cfg.max_iterations:
+            break
         accepted = False
         for _ in range(12):
             stale = (lin is None or it - built[1] >= cfg.jacobian_lag
@@ -153,16 +210,22 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
             if stale:
                 lin = _LinearSolver(jacobian_fn(u, cfl), cfg.linear_sweeps)
                 built = (cfl, it)
-            du = lin.solve(-res.ravel()).reshape(np.shape(res))
+            if matvec_fn is None:
+                du = lin.solve(-res.ravel())
+            else:
+                du = _krylov_step(matvec_fn(u, res), lin, -res.ravel())
+            du = du.reshape(np.shape(res))
             try:
                 u_new = apply_update_fn(u, du)
                 res_new = residual_fn(u_new)
                 new = float(np.max(l1_norm_fn(res_new) / norms0))
                 ok = np.isfinite(new) and new <= 2.5 * max(cur, 1e-12)
+                reason = (f"residual rose from {cur:.3g} to {new:.3g} of the "
+                          "reference level")
             except (SolverDivergenceError, FloatingPointError,
                     physics.InvalidStateError,
-                    physics.NonpositiveTemperatureError):
-                ok = False
+                    physics.NonpositiveTemperatureError) as exc:
+                ok, reason = False, f"{type(exc).__name__}: {exc}"
             if ok:
                 accepted = True
                 break
@@ -171,12 +234,12 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
         if not accepted:
             history.append(it, norms, cfl)
             raise NonConvergenceError(
-                "update rejected repeatedly (pseudo-time backoff exhausted)",
-                history)
+                "update rejected 12 times (pseudo-time backoff exhausted); "
+                f"last: {reason}", history)
         history.append(it, norms, cfl)
-        cfl = min(cfl * 2.0, 1e8)
+        cfl = min(cfl * 2.0, _CFL_MAX)
         u, res = u_new, res_new
-    history.append(cfg.max_iterations, l1_norm_fn(res), built[0])
+    history.append(cfg.max_iterations, norms, built[0])
     raise NonConvergenceError(
         f"residual drop of {cfg.target_drop} orders not reached in "
         f"{cfg.max_iterations} iterations", history)
@@ -394,15 +457,46 @@ def _jacobian_ns3d(problem, w, cfl):
                          shape=(5 * nc, 5 * nc)).tocsr()
 
 
-def solve_ns3d(problem, cfg: SolverConfig | None = None,
-               w0: np.ndarray | None = None):
-    """Drive the 3D MMS problem to steady state; returns (states, history)."""
+def _pinned_prim(problem, u):
+    """Primitive states of conservative states u, pinned cells exact."""
+    w = physics.cons_to_prim(u)
+    w[problem.pinned] = problem.exact[problem.pinned]
+    return w
+
+
+def _matvec_ns3d(problem, w, res):
+    """Jacobian-free product v -> J(w) v of the residual in conservative
+    variables over the flattened unknowns: a forward difference with step
+    1e-6 (1 + |u|) / (|v| sqrt(N)) against res = residual_ns3d(problem, w),
+    and identity rows on pinned cells."""
+    u = physics.prim_to_cons(w)
+    scale = 1e-6 * (1.0 + np.linalg.norm(u)) / np.sqrt(u.size)
+    pinned_rows = np.repeat(problem.pinned, 5)
+
+    def matvec(v):
+        v = np.ravel(v)
+        v_norm = np.linalg.norm(v)
+        if v_norm == 0.0:
+            return np.zeros_like(v)
+        eps = scale / v_norm
+        w_eps = _pinned_prim(problem, u + eps * v.reshape(u.shape))
+        jv = (ns3d.residual_ns3d(problem, w_eps) - res).ravel() / eps
+        jv[pinned_rows] = v[pinned_rows]
+        return jv
+    return matvec
+
+
+def solve_ns3d(problem, cfg: SolverConfig | None = None):
+    """Drive the 3D MMS problem to steady state by Newton-Krylov steps from
+    the exact solution; returns (states, history).
+
+    The target is ``cfg.target_drop`` orders below the residual of the
+    free-stream state ``problem.initial_state()``, whose norms are history
+    row 0.  The preconditioner Jacobian is built at the largest CFL, where its
+    pseudo-time diagonal is negligible.
+    """
     if cfg is None:
         cfg = NS3D_CONFIG
-    if w0 is None:
-        w0 = problem.initial_state()
-    w0 = np.array(w0, dtype=float)
-    w0[problem.pinned] = problem.exact[problem.pinned]
     unpinned = ~problem.pinned
 
     def res_fn(w):
@@ -411,19 +505,20 @@ def solve_ns3d(problem, cfg: SolverConfig | None = None,
     def norm_fn(res):
         return np.abs(res[unpinned]).mean(axis=0)
 
-    def update_fn(w, d_res):
-        du = d_res  # update in conservative variables
+    def update_fn(w, du):
+        """Add the conservative update, halved until the state is physical."""
         u = physics.prim_to_cons(w)
         scale = 1.0
         for _ in range(25):
-            w_new = physics.cons_to_prim(u + scale * du)
+            w_new = _pinned_prim(problem, u + scale * du)
             if np.all(w_new[:, 0] > 0.0) and np.all(w_new[:, 4] > 0.0):
-                w_new[problem.pinned] = problem.exact[problem.pinned]
                 return w_new
             scale *= 0.5
         raise SolverDivergenceError(
             "no damping of the update yields a physical state")
 
-    return solve_defect_correction(res_fn, lambda w, c:
-                                   _jacobian_ns3d(problem, w, c),
-                                   w0, norm_fn, update_fn, cfg)
+    return solve_defect_correction(
+        res_fn, lambda w, cfl: _jacobian_ns3d(problem, w, cfl),
+        problem.exact.copy(), norm_fn, update_fn, cfg,
+        reference=problem.initial_state(), cfl0=_CFL_MAX,
+        matvec_fn=lambda w, res: _matvec_ns3d(problem, w, res))

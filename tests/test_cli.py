@@ -186,6 +186,30 @@ class TestMainExitCodes:
         assert err[0].startswith(f"config error: {message}")
         assert not (tmp_path / "effective_config.cfg").exists()
 
+    @pytest.mark.parametrize("argv,env,config,message", [
+        (["--grids", "7,11,15"], {}, "", "grids, got 7,11,15"),
+        (["--problem", "ns3d", "--grids", "3,5"], {}, "", "grids, got 3,5"),
+        (["--strategies", "arithmetic,lr-average"], {}, "",
+         "strategies, got arithmetic,lr-average"),
+        ([], {"FVVISC_GRIDS": "7,11"}, "", "grids, got 7,11"),
+        ([], {}, "strategies = arithmetic,lr-average\n",
+         "strategies, got arithmetic,lr-average"),
+    ], ids=["grids-flag", "ns3d-grids-flag", "strategies-flag", "environment",
+            "config-file"])
+    def test_solve_takes_one_size_and_one_strategy(
+            self, tmp_path, capsys, monkeypatch, argv, env, config, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if config:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        rc = cli.main(["solve", *argv, "--out-dir", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: solve takes one value of {message}"]
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_mesh_is_a_config_error(self, tmp_path, capsys):
         # n = 5 at seed 1 and perturbation 0.3 inverts a tet
         rc = cli.main(["solve", "--problem", "ns3d", "--grids", "5",
@@ -270,10 +294,23 @@ class TestSolveArtifacts:
             monkeypatch.setenv(name, value)
         rc = cli.main(["solve", "--problem", "ns3d", "--grids", "11", *argv,
                        "--set", "solver.max_iterations=1",
+                       "--set", "solver.target_drop=12",
                        "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_NONCONVERGENCE
         cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
         assert f"perturbation = {perturbation}" in cfg
+
+    @pytest.mark.parametrize("problem", ["diffusion1d", "ns3d"])
+    def test_solve_defaults_to_one_size_and_one_strategy(self, tmp_path,
+                                                         problem):
+        rc = cli.main(["solve", "--problem", problem,
+                       "--set", "solver.max_iterations=1",
+                       "--set", "solver.target_drop=12",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_NONCONVERGENCE
+        cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
+        assert "grids = 7" in cfg
+        assert "strategies = lr-average" in cfg
 
     def test_regular_ns3d_solve_is_the_unperturbed_mesh(self, tmp_path):
         solutions = {}

@@ -1,11 +1,13 @@
-"""Defect-correction solver: convergence, termination, and error paths."""
+"""Implicit solvers: convergence, termination, and error paths."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import root
 
-from fvvisc import diffusion1d, mesh, ns3d, solver, verify
+from fvvisc import diffusion1d, mesh, ns3d, physics, solver, verify
 from fvvisc.recon import Strategy
 
 
@@ -63,6 +65,15 @@ class TestDiffusion1DSolve:
         with pytest.raises(solver.NonConvergenceError) as exc:
             solver.solve_diffusion_1d(p, cfg)
         assert len(exc.value.history.iterations) >= 1
+
+    def test_target_reached_on_the_last_allowed_step(self):
+        p = make_1d(n=15, seed=5)
+        cfg = solver.SolverConfig(target_drop=9.0)
+        u, hist = solver.solve_diffusion_1d(p, cfg)
+        steps = hist.iterations[-1][0]
+        capped, _ = solver.solve_diffusion_1d(
+            p, dataclasses.replace(cfg, max_iterations=steps))
+        assert np.array_equal(capped, u)
 
     def test_deterministic(self):
         cfg = solver.SolverConfig(target_drop=8.0)
@@ -179,6 +190,68 @@ class TestNS3DSolve:
         assert np.array_equal(w[p.pinned], p.exact[p.pinned])
 
 
+def ns3d_problem(n, seed, perturbation=0.2, strategy="arithmetic"):
+    m = mesh.generate_tet_mesh(n, perturbation=perturbation, seed=seed)
+    return ns3d.NS3DProblem(m, Strategy.from_name(strategy))
+
+
+class TestNewtonKrylov3D:
+    def test_jacobian_free_product_matches_central_difference(self):
+        p = ns3d_problem(3, seed=31)
+        rng = np.random.default_rng(1)
+        w = p.exact.copy()
+        free = ~p.pinned
+        w[free] *= 1.0 + 0.01 * rng.standard_normal(w[free].shape)
+        u = physics.prim_to_cons(w).ravel()
+
+        def residual(x):
+            return ns3d.residual_ns3d(
+                p, solver._pinned_prim(p, x.reshape(-1, 5))).ravel()
+
+        matvec = solver._matvec_ns3d(p, w, ns3d.residual_ns3d(p, w))
+        pinned_rows = np.repeat(p.pinned, 5)
+        for _ in range(3):
+            v = rng.standard_normal(u.size)
+            jv = matvec(v)
+            h = 1e-4
+            ref = (residual(u + h * v) - residual(u - h * v)) / (2 * h)
+            assert (np.linalg.norm(jv[~pinned_rows] - ref[~pinned_rows])
+                    <= 1e-6 * np.linalg.norm(ref[~pinned_rows]))
+            assert np.array_equal(jv[pinned_rows], v[pinned_rows])
+
+    def test_exact_start_takes_a_newton_step(self):
+        # the exact state already lies 3 orders below the free-stream
+        # residual; reporting it would give zero errors
+        p = ns3d_problem(3, seed=31)
+        w, hist = solver.solve_ns3d(
+            p, dataclasses.replace(solver.NS3D_CONFIG, target_drop=3.0))
+        assert hist.iterations[-1][0] >= 1
+        assert np.all(verify.l1_error(w, p.exact) > 0.0)
+
+    def test_default_solve_agrees_with_a_tight_solve(self):
+        p = ns3d_problem(4, seed=5)
+        w, _ = solver.solve_ns3d(p)
+        tight, _ = solver.solve_ns3d(
+            p, dataclasses.replace(solver.NS3D_CONFIG, target_drop=12.0))
+        err = verify.l1_error(w, p.exact)
+        ref = verify.l1_error(tight, p.exact)
+        assert np.all(np.abs(err - ref) <= 2e-4 * ref)
+
+    def test_repeated_rejection_names_the_reason(self):
+        p = make_1d(n=9, seed=1)
+
+        def reject(u, du):
+            raise solver.SolverDivergenceError("no physical state")
+
+        with pytest.raises(solver.NonConvergenceError,
+                           match="rejected 12 times.*no physical state"):
+            solver.solve_defect_correction(
+                lambda u: diffusion1d.residual_1d(p, u),
+                lambda u, cfl: solver._jacobian_1d(p, u, cfl),
+                p.initial_state(), lambda r: np.abs(r).mean(keepdims=True),
+                reject, solver.SolverConfig())
+
+
 class TestThinLayerJacobian:
     def test_jacobian_shape_and_pinned_rows(self):
         m = mesh.generate_tet_mesh(2, perturbation=0.0, seed=0)
@@ -195,7 +268,6 @@ class TestThinLayerJacobian:
             assert np.array_equal(row, expect)
 
     def test_prim_from_cons_jacobian_matches_fd(self):
-        from fvvisc import physics
         rng = np.random.default_rng(9)
         w = np.array([[1.1, 0.25, -0.1, 0.3, 0.9]])
         m = solver._prim_from_cons_jacobian(w)[0]
