@@ -18,9 +18,10 @@ sparse LU.
 is nearly linear around ``problem.exact``, so the solve starts there and
 takes Newton steps whose direction GMRES finds from a Jacobian-free
 (finite-difference directional derivative) product of the second-order
-residual, left-preconditioned by Gauss-Seidel sweeps on a first-order
-Jacobian (first-order upwind inviscid flux Jacobian plus thin-layer viscous
-blocks).  The residual target is still set by the free-stream state.
+residual, left-preconditioned by multicolor block Gauss-Seidel on 5x5 cell
+blocks of a first-order Jacobian (first-order upwind inviscid flux Jacobian
+plus thin-layer viscous blocks).  The residual target is still set by the
+free-stream state.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ class SolverConfig:
 
     ``target_drop`` is the number of orders of magnitude of L1 residual
     reduction; ``linear_sweeps`` = 0 solves each linear system directly,
-    > 0 applies that many lexicographic Gauss-Seidel sweeps instead (in 3D,
-    the sweeps are the GMRES preconditioner).  ``jacobian_lag`` reuses the
-    factored Jacobian (in 3D, the preconditioner) for that many nonlinear
-    iterations.
+    > 0 applies that many sweeps of multicolor block Gauss-Seidel on 5x5
+    cell blocks instead (in 3D, the sweeps are the GMRES preconditioner).
+    ``jacobian_lag`` reuses the factored Jacobian (in 3D, the
+    preconditioner) for that many nonlinear iterations.
     """
 
     target_drop: float = 8.0
@@ -71,16 +72,19 @@ class SolverConfig:
             raise ValueError("jacobian_lag must be at least 1")
 
 
-#: 3D defaults: LU fill is prohibitive for the 5x5-block Jacobians, so the
-#: preconditioner is 30 Gauss-Seidel sweeps on a first-order Jacobian
-#: refreshed every 8 Newton steps, and a 7-order residual drop (see
-#: ``verify.run_study_3d``).
+#: 3D defaults: the preconditioner is 30 sweeps of multicolor block
+#: Gauss-Seidel on 5x5 cell blocks of a first-order Jacobian refreshed every
+#: 8 Newton steps, and a 7-order residual drop (see ``verify.run_study_3d``).
 NS3D_CONFIG = SolverConfig(target_drop=7.0, linear_sweeps=30, jacobian_lag=8)
 
 
 @dataclass
 class IterationHistory:
-    """Per-iteration L1 residual norms (one per equation) and the CFL used."""
+    """Per-iteration L1 residual norms (one per equation) and the CFL used.
+
+    A row whose iteration is ``"reference"`` holds the norms of the
+    reference state the residual drop is measured from.
+    """
 
     iterations: list = field(default_factory=list)
 
@@ -89,7 +93,9 @@ class IterationHistory:
 
     def write_csv(self, path, var_names):
         with open(path, "w") as f:
-            f.write("# defect-correction iteration history\n")
+            f.write("# nonlinear iteration history; a row labelled "
+                    "reference holds the residual of the state the "
+                    "target drop is measured from\n")
             f.write("iteration," + ",".join(f"l1_res_{v}" for v in var_names)
                     + ",cfl\n")
             for it, norms, cfl in self.iterations:
@@ -97,32 +103,89 @@ class IterationHistory:
                 f.write(f"{it},{vals},{cfl:.6g}\n")
 
 
-class _LinearSolver:
-    """Factored linear solver reusable across nonlinear iterations.
+#: Unknowns per cell of the 3D systems (the conservative variables): the
+#: Gauss-Seidel sweeps update these 5x5 blocks together.
+_BLOCK = 5
 
-    sweeps <= 0: direct sparse LU.  sweeps > 0: that many lexicographic
-    Gauss-Seidel sweeps (triangular factors only, no fill-in), which is the
-    practical choice for the 3D Jacobians where LU fill is prohibitive.
+
+def _greedy_colors(graph):
+    """Smallest-free-color greedy coloring of a symmetric sparsity pattern,
+    visiting the vertices in order; returns one color per vertex."""
+    ptr, adj = graph.indptr.tolist(), graph.indices.tolist()
+    colors = [-1] * graph.shape[0]
+    for i in range(len(colors)):
+        used = {colors[j] for j in adj[ptr[i]:ptr[i + 1]]}
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    return np.array(colors)
+
+
+class _LinearSolver:
+    """Linear solver reusable across nonlinear iterations.
+
+    sweeps <= 0: direct sparse LU.  sweeps > 0: that many multicolor block
+    Gauss-Seidel sweeps on 5x5 cell blocks (the order must be a multiple of
+    5).  The cells are colored greedily on the symmetrized block pattern, so
+    no two cells of one color are coupled either way (pinned cells have
+    identity rows but appear in their neighbors' rows), and the unknowns
+    are renumbered color by color.  With the diagonal blocks D inverted once
+    and T = D^-1 (A - D), a sweep updates each color's rows in turn as
+    x_r = D^-1 b_r - T_r x: one sparse matvec per color, no fill-in.
     """
 
     def __init__(self, mat, sweeps: int):
         self.sweeps = sweeps
-        mat = mat.tocsr()
         if sweeps <= 0:
             self._lu = spla.splu(mat.tocsc())
-        else:
-            lower = sp.tril(mat, k=0, format="csc")
-            self._upper = sp.triu(mat, k=1, format="csr")
-            self._lu = spla.splu(lower, permc_spec="NATURAL",
-                                 options={"DiagPivotThresh": 0.0})
+            return
+        n = mat.shape[0]
+        nc = n // _BLOCK
+        blocks = mat.tobsr(blocksize=(_BLOCK, _BLOCK))
+        row = np.repeat(np.arange(nc), np.diff(blocks.indptr))
+        col = blocks.indices
+        on_diag = row == col
+        diag = np.zeros((nc, _BLOCK, _BLOCK))
+        diag[row[on_diag]] = blocks.data[on_diag]
+        dinv = np.linalg.inv(diag)
+
+        pattern = sp.csr_matrix((np.ones(len(col)), col, blocks.indptr),
+                                shape=(nc, nc))
+        colors = _greedy_colors(pattern + pattern.T)
+        order = np.argsort(colors, kind="stable")
+        new_index = np.argsort(order)
+        self._order = order
+        self._dinv = dinv[order]
+
+        # T = D^-1 (A - D), block rows renumbered and grouped by color
+        off = ~on_diag
+        t_row, t_col = new_index[row[off]], new_index[col[off]]
+        by_row = np.argsort(t_row, kind="stable")
+        t_col = t_col[by_row]
+        t_data = np.matmul(dinv[row[off]][by_row], blocks.data[off][by_row])
+        t_ptr = np.concatenate(([0], np.cumsum(np.bincount(t_row,
+                                                           minlength=nc))))
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(colors))))
+        self._colors = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            p, q = t_ptr[s], t_ptr[e]
+            t = sp.bsr_matrix((t_data[p:q], t_col[p:q], t_ptr[s:e + 1] - p),
+                              shape=(_BLOCK * (e - s), n))
+            self._colors.append((_BLOCK * s, _BLOCK * e, t))
 
     def solve(self, rhs):
         if self.sweeps <= 0:
             return self._lu.solve(rhs)
-        x = np.zeros_like(rhs)
+        c = np.matmul(self._dinv,
+                      rhs.reshape(-1, _BLOCK)[self._order, :, None]).ravel()
+        x = np.zeros_like(c)
         for _ in range(self.sweeps):
-            x = self._lu.solve(rhs - self._upper @ x)
-        return x
+            for s, e, t in self._colors:
+                x[s:e] = c[s:e] - t @ x
+        out = np.empty((len(self._order), _BLOCK))
+        out[self._order] = x.reshape(-1, _BLOCK)
+        return out.ravel()
 
 
 #: Largest pseudo-time CFL; the 3D Newton-Krylov preconditioner starts there.
@@ -166,18 +229,19 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
 
     The target is ``cfg.target_drop`` orders below the residual norms of
     ``reference`` (default: u0).  A separate reference state is recorded as
-    history row 0, and then at least one step is taken, since u0 may
-    already lie below the target without being a solution (the exact MMS
-    state does).
+    the history row labelled ``"reference"``, and then at least one step is
+    taken, since u0 may already lie below the target without being a
+    solution (the exact MMS state does).
 
     Pseudo-transient continuation: the CFL starts at ``cfl0``, doubles after
     each accepted step up to 1e8, and is cut back whenever a step blows the
     residual up or leaves the physical state space; 12 rejections in a row
     raise NonConvergenceError with the last reason.  An absolute L1 residual
     of 1e-14 also counts as converged.  ``cfg.max_iterations`` caps the
-    steps; the state after the last allowed step is still checked.  The Jacobian is rebuilt at most
-    every ``jacobian_lag`` accepted iterations or when the CFL moves by more
-    than a factor of two since the last factorization.
+    steps; the state after the last allowed step is still checked.  The
+    Jacobian is rebuilt at most every ``jacobian_lag`` accepted iterations or
+    when the CFL moves by more than a factor of two since the last
+    factorization.
     """
     if history is None:
         history = IterationHistory()
@@ -188,7 +252,7 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
         norms0 = l1_norm_fn(res)
     else:
         norms0 = l1_norm_fn(residual_fn(reference))
-        history.append(0, norms0, cfl0)
+        history.append("reference", norms0, cfl0)
         min_steps = 1
     norms0 = np.maximum(norms0, 1e-300)
     target = 10.0 ** (-cfg.target_drop)
@@ -491,9 +555,9 @@ def solve_ns3d(problem, cfg: SolverConfig | None = None):
     the exact solution; returns (states, history).
 
     The target is ``cfg.target_drop`` orders below the residual of the
-    free-stream state ``problem.initial_state()``, whose norms are history
-    row 0.  The preconditioner Jacobian is built at the largest CFL, where its
-    pseudo-time diagonal is negligible.
+    free-stream state ``problem.initial_state()``, whose norms are the
+    history row labelled ``"reference"``.  The preconditioner Jacobian is
+    built at the largest CFL, where its pseudo-time diagonal is negligible.
     """
     if cfg is None:
         cfg = NS3D_CONFIG

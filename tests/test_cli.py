@@ -282,6 +282,17 @@ class TestSolveArtifacts:
                          skiprows=1)
         assert sol.shape == (6 * 27, 5)
 
+    def test_solve_ns3d_labels_the_reference_row(self, tmp_path):
+        rc = cli.main(["solve", "--problem", "ns3d", "--grids", "3",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        hist = (tmp_path / "history.csv").read_text().splitlines()
+        assert "reference" in hist[0]
+        assert hist[1] == ("iteration,l1_res_rho,l1_res_u,l1_res_v,"
+                           "l1_res_w,l1_res_T,cfl")
+        assert hist[2].startswith("reference,")
+        assert not any(r.startswith("reference,") for r in hist[3:])
+
     @pytest.mark.parametrize("argv,env,perturbation", [
         ([], {}, "0.1"),
         (["--perturbation", "0.05"], {}, "0.05"),

@@ -156,6 +156,33 @@ class TestLinearSolver:
         gs = solver._LinearSolver(sp.csr_matrix(a), 60).solve(rhs)
         assert np.abs(gs - direct).max() < 1e-10
 
+    @pytest.fixture(scope="class")
+    def jacobian_3d(self):
+        p = ns3d_problem(3, seed=31)
+        assert p.pinned.any()       # identity rows: an unsymmetric pattern
+        return solver._jacobian_ns3d(p, p.exact, 1e8)
+
+    def test_no_two_cells_of_one_color_are_coupled(self, jacobian_3d):
+        lin = solver._LinearSolver(jacobian_3d, 30)
+        blocks = jacobian_3d.tobsr(blocksize=(5, 5))
+        nc = blocks.shape[0] // 5
+        coupled = sp.csr_matrix((np.ones(blocks.indices.size), blocks.indices,
+                                 blocks.indptr), shape=(nc, nc))
+        assert (coupled != coupled.T).nnz > 0
+        assert np.array_equal(np.sort(lin._order), np.arange(nc))
+        for start, end, _ in lin._colors:
+            cells = lin._order[start // 5:end // 5]
+            within = coupled[cells][:, cells]
+            # either direction: a row or a column of another cell of the color
+            assert within.count_nonzero() == \
+                np.count_nonzero(within.diagonal())
+
+    def test_sweeps_converge_to_the_direct_solution(self, jacobian_3d):
+        rhs = np.random.default_rng(8).normal(size=jacobian_3d.shape[0])
+        direct = solver._LinearSolver(jacobian_3d, 0).solve(rhs)
+        gs = solver._LinearSolver(jacobian_3d, 300).solve(rhs)
+        assert np.abs(gs - direct).max() < 1e-8 * np.abs(direct).max()
+
 
 @pytest.fixture(scope="module")
 def solved():
