@@ -324,11 +324,16 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     """Layered config, strategies and solver config of one problem run,
     validated before the effective config is written.  ``run_defaults``
     override the problem's defaults (OMEGA_STRATEGIES, SOLVE_DEFAULTS);
-    ``single`` allows one grid size and one strategy only."""
+    ``single`` allows one grid size and one strategy only.  A layered
+    ``problem`` other than the one that runs is rejected, so the effective
+    config never records a problem it did not run."""
     entry = PROBLEMS[problem]
     cfg = build_config(_cli_overrides(args), args.config,
                        {"problem": problem, **entry.defaults,
                         **run_defaults})
+    if cfg["problem"] != problem:
+        raise ConfigError(f"problem = {cfg['problem']} is set, but this "
+                          f"command runs {problem}")
     solver_keys = {key.split(".", 1)[1]: value for key, value in cfg.items()
                    if key.startswith("solver.") and value is not None}
     try:

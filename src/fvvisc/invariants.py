@@ -114,7 +114,7 @@ def sutherland_reference_viscosity():
 
 
 def forcing_matches_flux_divergence():
-    """The symbolic MMS forcing against a 4th-order finite-difference
+    """The closed-form MMS forcing against a 4th-order finite-difference
     divergence of the composed flux, at 20 and at 100 random points."""
     for seed, n in ((23, 20), (2024, 100)):
         pts = np.random.default_rng(seed).uniform(0.05, 0.45, (n, 3))

@@ -1,17 +1,19 @@
 """3D compressible Navier-Stokes manufactured-solution problem.
 
-The exact solution is a constant state plus 0.1 exp(0.5 (x + y + z)) added to
-every primitive variable on the cube [0, 0.5]^3, at the fixed flow condition
-of the ``physics`` constants.  A forcing vector (the analytic divergence of
-the exact total flux, derived symbolically once per process and cached)
-makes it a steady solution of the discretized system.  Cells adjacent to a
-boundary face are pinned to the exact solution and carry zero residual.
+The exact solution is a constant state plus psi = 0.1 exp(s / 2), with
+s = x + y + z, added to every primitive variable on the cube [0, 0.5]^3, at
+the fixed flow condition of the ``physics`` constants.  A forcing vector (the
+divergence of the exact total flux, in closed form) makes it a steady
+solution of the discretized system.  The closed form assumes that every
+variable is a constant plus the same psi(s): a change of psi needs a new
+forcing, or the finite-difference oracle check in ``fvvisc.invariants``
+fails.  Cells adjacent to a boundary face are pinned to the exact solution
+and carry zero residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +46,8 @@ def mms_total_flux(points: np.ndarray) -> np.ndarray:
     """Exact total (inviscid + viscous) flux tensor at points, shape (..., 3, 5).
 
     Composed numerically from the physics-module flux routines and the
-    analytic state/gradients; independent of the symbolic forcing derivation,
-    which is cross-checked against a finite-difference divergence of this
+    analytic state/gradients; independent of the closed-form forcing, which
+    is cross-checked against a finite-difference divergence of this
     function.
     """
     points = np.asarray(points, dtype=float)
@@ -64,58 +66,36 @@ def mms_total_flux(points: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _forcing_function():
-    """Symbolic divergence of the exact total flux, lambdified for numpy."""
-    import sympy as sp
-
-    gamma, prandtl = physics.GAMMA, physics.PRANDTL
-
-    x, y, z = sp.symbols("x y z")
-    coords = (x, y, z)
-    psi = sp.Rational(1, 10) * sp.exp((x + y + z) / 2)
-    rho = 1 + psi
-    vel = [sp.Rational(3, 10) + psi, sp.Rational(1, 5) + psi,
-           sp.Rational(1, 10) + psi]
-    temp = 1 + psi
-    p = rho * temp / gamma
-    q2 = sum(v * v for v in vel)
-    h_tot = temp / (gamma - 1) + q2 / 2
-
-    cr = sp.Float(physics.SUTHERLAND_C) / sp.Float(physics.T_REF)
-    mu = (sp.Float(physics.MACH / physics.REYNOLDS) * (1 + cr) / (temp + cr)
-          * temp ** sp.Rational(3, 2))
-    gv = [[sp.diff(vel[i], coords[j]) for j in range(3)] for i in range(3)]
-    div_v = gv[0][0] + gv[1][1] + gv[2][2]
-    tau = [[mu * (gv[i][j] + gv[j][i]
-                  - (sp.Rational(2, 3) * div_v if i == j else 0))
-            for j in range(3)] for i in range(3)]
-    heat = [-mu / (prandtl * (gamma - 1)) * sp.diff(temp, c) for c in coords]
-
-    forcing = [sp.S.Zero] * 5
-    for d in range(3):
-        vn = vel[d]
-        flux = [rho * vn,
-                rho * vn * vel[0] + p * (1 if d == 0 else 0) - tau[0][d],
-                rho * vn * vel[1] + p * (1 if d == 1 else 0) - tau[1][d],
-                rho * vn * vel[2] + p * (1 if d == 2 else 0) - tau[2][d],
-                rho * vn * h_tot
-                - (tau[0][d] * vel[0] + tau[1][d] * vel[1] + tau[2][d] * vel[2])
-                + heat[d]]
-        for i in range(5):
-            forcing[i] += sp.diff(flux[i], coords[d])
-    # Not simplified: sp.simplify costs seconds per process and changes the
-    # values only at rounding level; common subexpressions are shared in the
-    # lambdified code instead.
-    return sp.lambdify((x, y, z), forcing, "numpy", cse=True)
-
-
 def mms_forcing(points: np.ndarray) -> np.ndarray:
-    """Analytic forcing vector at the given points, shape (..., 3) -> (..., 5)."""
+    """Divergence of the exact total flux at points, (..., 3) -> (..., 5).
+
+    Each directional flux depends on position through s = x + y + z only,
+    so the divergence is the s-derivative of F_x + F_y + F_z.  With
+    psi' = psi/2 every velocity-gradient entry is psi', so
+    tau_ij = 2 mu psi' (1 - delta_ij), each row of tau sums to 4 mu psi',
+    and the three heat fluxes sum to -3 mu psi' / (Pr (gamma - 1)).
+    """
     points = np.asarray(points, dtype=float)
-    comps = _forcing_function()(points[..., 0], points[..., 1], points[..., 2])
-    return np.stack([np.broadcast_to(c, points.shape[:-1]) for c in comps],
-                    axis=-1)
+    gamma, gm1 = physics.GAMMA, physics.GAMMA - 1.0
+    psi = 0.1 * np.exp(0.5 * points.sum(axis=-1))
+    d1, d2 = psi / 2, psi / 4                       # psi', psi''
+    w = MMS_CONSTANTS + psi[..., None]
+    rho, vel, temp = w[..., 0], w[..., 1:4], w[..., 4]
+    sum_v = vel.sum(axis=-1)
+    h_tot = temp / gm1 + 0.5 * (vel * vel).sum(axis=-1)
+    mu = physics.sutherland_viscosity(temp)
+    cr = physics.SUTHERLAND_C / physics.T_REF
+    # d(mu psi')/ds, with dmu/dT from the Sutherland law
+    d_mu1 = mu * (1.5 / temp - 1.0 / (temp + cr)) * d1 * d1 + mu * d2
+    mass = d1 * (sum_v + 3.0 * rho)
+    out = np.empty(points.shape[:-1] + (5,))
+    out[..., 0] = mass
+    out[..., 1:4] = mass[..., None] * vel + (
+        d1 * (rho * sum_v + (rho + temp) / gamma) - 4.0 * d_mu1)[..., None]
+    out[..., 4] = (mass * h_tot + rho * sum_v * d1 * (1.0 / gm1 + sum_v)
+                   - 4.0 * (d_mu1 * sum_v + 3.0 * mu * d1 * d1)
+                   - 3.0 * d_mu1 / (physics.PRANDTL * gm1))
+    return out
 
 
 @dataclass

@@ -66,8 +66,9 @@ class SolverConfig:
     jacobian_lag: int = 1
 
     def __post_init__(self):
-        if self.target_drop <= 0 or self.max_iterations <= 0:
-            raise ValueError("target_drop and max_iterations must be positive")
+        if not 0 < self.target_drop < np.inf or self.max_iterations <= 0:
+            raise ValueError("target_drop must be positive and finite, and "
+                             "max_iterations positive")
         if self.jacobian_lag < 1:
             raise ValueError("jacobian_lag must be at least 1")
 

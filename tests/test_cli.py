@@ -229,6 +229,37 @@ class TestMainExitCodes:
                        "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("drop", ["nan", "inf"])
+    def test_non_finite_target_drop_exits_2(self, tmp_path, capsys, drop):
+        # a drop that can never be reached would run to the iteration cap
+        rc = cli.main(["solve", "--set", f"solver.target_drop={drop}",
+                       "--grids", "7", "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: target_drop must be positive and "
+                       "finite, and max_iterations positive"]
+        assert not (tmp_path / "effective_config.cfg").exists()
+
+    @pytest.mark.parametrize("layer", ["environment", "config-file"])
+    def test_study_rejects_another_problem(self, tmp_path, capsys,
+                                           monkeypatch, layer):
+        # the effective config would record ns3d for a 1D study, and
+        # reparsing it with solve --config would run a 3D solve
+        argv = ["study-1d", "--grids", "7,11", "--strategies", "arithmetic",
+                "--out-dir", str(tmp_path / "out")]
+        if layer == "environment":
+            monkeypatch.setenv("FVVISC_PROBLEM", "ns3d")
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text("problem = ns3d\n")
+            argv += ["--config", str(path)]
+        rc = cli.main(argv)
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: problem = ns3d is set, but this "
+                       "command runs diffusion1d"]
+        assert not (tmp_path / "out").exists()
+
     def test_nonconvergence_exits_3(self, tmp_path):
         rc = cli.main(["solve", "--grids", "15", "--strategies", "arithmetic",
                        "--set", "solver.max_iterations=2",

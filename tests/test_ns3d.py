@@ -1,5 +1,8 @@
 """3D Navier-Stokes manufactured solution: oracles and residual structure."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -56,7 +59,7 @@ class TestManufacturedState:
 
 class TestForcingOracle:
     def test_forcing_matches_fd_flux_divergence(self):
-        # independent oracle: the symbolic forcing against a 4th-order
+        # independent oracle: the closed-form forcing against a 4th-order
         # finite-difference divergence of the numerically composed flux
         rng = np.random.default_rng(6)
         pts = rng.uniform(0.05, 0.45, (100, 3))
@@ -70,6 +73,19 @@ class TestForcingOracle:
         a = ns3d.mms_forcing(pts)
         b = ns3d.mms_forcing(pts)
         assert np.array_equal(a, b)
+
+    def test_no_computer_algebra_at_run_time(self):
+        # a fresh interpreter, so that no other test's imports count
+        code = ("import sys\n"
+                "from fvvisc import mesh, ns3d\n"
+                "from fvvisc.recon import Strategy\n"
+                "p = ns3d.NS3DProblem(mesh.generate_tet_mesh(2, seed=1),\n"
+                "                     Strategy.from_name('arithmetic'))\n"
+                "ns3d.mms_forcing(p.mesh.cell_centroid)\n"
+                "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 class TestResidual:

@@ -21,8 +21,9 @@ class TestSolverConfig:
         solver.SolverConfig()
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            solver.SolverConfig(target_drop=0.0)
+        for drop in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                solver.SolverConfig(target_drop=drop)
         with pytest.raises(ValueError):
             solver.SolverConfig(max_iterations=0)
         with pytest.raises(ValueError):
