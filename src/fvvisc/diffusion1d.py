@@ -64,14 +64,18 @@ def apply_boundary_closure(problem: Diffusion1DProblem,
 
 
 def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
-    """Numerical flux nu_{j+1/2} (u_x)_{j+1/2} at the n-1 interior faces."""
+    """Numerical flux nu_{j+1/2} (u_x)_{j+1/2} at the n-1 interior faces.
+
+    The cells are the last axis of u; leading axes stack states, and each
+    stacked row is bit-identical to a single-state call.
+    """
     grid = problem.grid
     x = grid.cell_centers
     xf = grid.face_coords
     gx = gradient_1d(grid, u)
 
-    uj, uk = u[:-1], u[1:]
-    gj, gk = gx[:-1], gx[1:]
+    uj, uk = u[..., :-1], u[..., 1:]
+    gj, gk = gx[..., :-1], gx[..., 1:]
     u_l = uj + gj * (xf - x[:-1])
     u_r = uk + gk * (xf - x[1:])
     dudx_f = face_derivative_1d(gj, gk, u_l, u_r, x[1:] - x[:-1])
@@ -86,14 +90,16 @@ def residual_1d(problem: Diffusion1DProblem, u: np.ndarray,
 
     The physical flux of -d/dx(nu du/dx) = f is -phi with phi = nu u_x, so
     Res_j = phi_{j-1/2} - phi_{j+1/2} - f(x_j) h_j, which vanishes for the
-    exact discrete solution.
+    exact discrete solution.  Like ``face_fluxes``, u may carry leading axes
+    of stacked states; the solver's Jacobian evaluates all its perturbed
+    states in one such call.
     """
     grid = problem.grid
     phi = face_fluxes(problem, u)
-    res = np.zeros(grid.n_cells)
-    res[:-1] -= phi
-    res[1:] += phi
+    res = np.zeros(np.shape(u))
+    res[..., :-1] -= phi
+    res[..., 1:] += phi
     res -= problem.forcing * grid.cell_volumes
     if with_closure:
-        res[problem.pinned] = 0.0
+        res[..., problem.pinned] = 0.0
     return res

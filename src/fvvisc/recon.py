@@ -75,16 +75,15 @@ def gradient_1d(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     """Cell gradients (u_x)_j = (u_{j+1} - u_{j-1}) / (x_{j+1} - x_{j-1}).
 
     Boundary cells use one-sided two-point differences, which are also exact
-    for linear fields.
+    for linear fields.  The cells are the last axis of u.
     """
-    n = grid.n_cells
-    if n < 3:
+    if grid.n_cells < 3:
         raise ValueError("need at least 3 cells")
     x = grid.cell_centers
-    g = np.empty(n)
-    g[1:-1] = (u[2:] - u[:-2]) / (x[2:] - x[:-2])
-    g[0] = (u[1] - u[0]) / (x[1] - x[0])
-    g[-1] = (u[-1] - u[-2]) / (x[-1] - x[-2])
+    g = np.empty(np.shape(u))
+    g[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (x[2:] - x[:-2])
+    g[..., 0] = (u[..., 1] - u[..., 0]) / (x[1] - x[0])
+    g[..., -1] = (u[..., -1] - u[..., -2]) / (x[-1] - x[-2])
     return g
 
 

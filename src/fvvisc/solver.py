@@ -10,9 +10,10 @@ finite-difference Jacobian of the full nonlinear residual plus a diagonal
 pseudo-time term whose CFL grows geometrically on accepted steps: the
 residual stencil is 5 cells wide (the central-difference gradients of
 ``recon.gradient_1d`` reach one cell past each face neighbor), so 5
-perturbed evaluations per build fill the pentadiagonal band, bit-identical
-to perturbing one column at a time, and each banded system is solved by
-sparse LU.
+perturbed states fill the pentadiagonal band, bit-identical to perturbing
+one column at a time.  Each build is one stacked residual evaluation of the
+base and perturbed states, written straight into a CSC matrix, and each
+banded system is solved by sparse LU (SuperLU).
 
 3D: inexact Newton-Krylov from the manufactured solution.  The MMS problem
 is nearly linear around ``problem.exact``, so the solve starts there and
@@ -248,9 +249,10 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
         history = IterationHistory()
     u = u0
     res = residual_fn(u)
+    norms = l1_norm_fn(res)
     min_steps = 0
     if reference is None:
-        norms0 = l1_norm_fn(res)
+        norms0 = norms
     else:
         norms0 = l1_norm_fn(residual_fn(reference))
         history.append("reference", norms0, cfl0)
@@ -261,7 +263,6 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
     lin = None
     built = (None, -1)          # (cfl used for the factored Jacobian, iter)
     for it in range(cfg.max_iterations + 1):
-        norms = l1_norm_fn(res)
         cur = float(np.max(norms / norms0))
         if it >= min_steps and (cur <= target or np.max(norms) <= 1e-14):
             history.append(it, norms, cfl)
@@ -283,7 +284,8 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
             try:
                 u_new = apply_update_fn(u, du)
                 res_new = residual_fn(u_new)
-                new = float(np.max(l1_norm_fn(res_new) / norms0))
+                norms_new = l1_norm_fn(res_new)
+                new = float(np.max(norms_new / norms0))
                 ok = np.isfinite(new) and new <= 2.5 * max(cur, 1e-12)
                 reason = (f"residual rose from {cur:.3g} to {new:.3g} of the "
                           "reference level")
@@ -303,7 +305,7 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
                 f"last: {reason}", history)
         history.append(it, norms, cfl)
         cfl = min(cfl * 2.0, _CFL_MAX)
-        u, res = u_new, res_new
+        u, res, norms = u_new, res_new, norms_new
     history.append(cfg.max_iterations, norms, built[0])
     raise NonConvergenceError(
         f"residual drop of {cfg.target_drop} orders not reached in "
@@ -323,16 +325,21 @@ _COLORS_1D = 2 * _HALF_BAND_1D + 1
 
 @lru_cache(maxsize=None)
 def _band_pattern_1d(n):
-    """Row, column, CSR index pointer and column color of every entry of the
-    n x n band |i - j| <= 2, in row-major order (read-only arrays)."""
+    """Major index, minor index, index pointer and color-major position of
+    every entry of the n x n band |i - j| <= 2, in major order (read-only
+    arrays).  The band is symmetric, so these are its CSR arrays with row
+    major and its CSC arrays with column major; the position of entry
+    (minor i, major j) in the (colors, n) array of colored differences is
+    (j mod 5) n + i."""
     offsets = np.arange(-_HALF_BAND_1D, _HALF_BAND_1D + 1)
-    rows = np.repeat(np.arange(n), _COLORS_1D)
-    cols = rows + np.tile(offsets, n)
-    keep = (cols >= 0) & (cols < n)
-    rows, cols = rows[keep], cols[keep]
+    major = np.repeat(np.arange(n), _COLORS_1D)
+    minor = major + np.tile(offsets, n)
+    keep = (minor >= 0) & (minor < n)
+    major, minor = major[keep], minor[keep]
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    pattern = (rows, cols.astype(np.int32), indptr, cols % _COLORS_1D)
+    np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
+    pattern = (major, minor.astype(np.int32), indptr,
+               major % _COLORS_1D * n + minor)
     for a in pattern:
         a.setflags(write=False)
     return pattern
@@ -340,15 +347,16 @@ def _band_pattern_1d(n):
 
 def _jacobian_1d(problem, u, cfl):
     """Column-colored finite-difference Jacobian of the full nonlinear
-    residual plus the pseudo-time diagonal, as a pentadiagonal CSR matrix.
+    residual plus the pseudo-time diagonal, as a pentadiagonal CSC matrix.
 
-    Columns c, c+5, c+10, ... are perturbed together, one residual
-    evaluation per color: a residual row reads only u[i-2..i+2], so no row
-    sees two columns of one color, and 5 colors (fewer when n < 5) recover
-    every entry of the band.  The residual is evaluated elementwise, so
-    each entry is bit-identical to the per-column difference with the same
-    step 1e-7 max(1, |u_j|), and the sparsity structure matches that of the
-    dense matrix.
+    Columns c, c+5, c+10, ... are perturbed together: a residual row reads
+    only u[i-2..i+2], so no row sees two columns of one color, and 5 colors
+    (fewer when n < 5) recover every entry of the band.  The base state and
+    the perturbed states go through one stacked evaluation of the residual,
+    which is elementwise, so each entry is bit-identical to the per-column
+    difference with the same step 1e-7 max(1, |u_j|).  Numerically zero
+    entries are dropped, so the sparsity structure (which SuperLU's column
+    ordering sees) matches that of the dense matrix.
 
     A frozen-viscosity Jacobian (pure defect correction) limit-cycles on the
     coarsest irregular grids, where the face viscosity varies by nearly two
@@ -356,27 +364,28 @@ def _jacobian_1d(problem, u, cfl):
     """
     grid = problem.grid
     n = grid.n_cells
-    rows, cols, indptr, color = _band_pattern_1d(n)
-    base = diffusion1d.residual_1d(problem, u)
+    col, row, indptr, colored = _band_pattern_1d(n)
     step = 1e-7 * np.maximum(1.0, np.abs(u))
-    diffs = np.empty((min(_COLORS_1D, n), n))
-    for c in range(len(diffs)):
-        e = np.zeros(n)
-        e[c::_COLORS_1D] = step[c::_COLORS_1D]
-        diffs[c] = diffusion1d.residual_1d(problem, u + e) - base
-    data = diffs[color, rows] / step[cols]
+    cells = np.arange(n)
+    pert = np.zeros((min(_COLORS_1D, n), n))
+    pert[cells % _COLORS_1D, cells] = step
+    res = diffusion1d.residual_1d(problem, np.concatenate((u[None], u + pert)))
+    data = (res[1:] - res[0]).ravel()[colored] / step[col]
     # pseudo-time: dt = cfl h^2 / nu, floored so the diagonal never vanishes
     # at the u = 0 degeneracy of nu = u^2
-    diag = rows == cols
+    diag = row == col
     nu_cell = np.maximum(u ** 2, 1e-3)
     data[diag] += nu_cell / (cfl * grid.cell_volumes)
-    pinned = problem.pinned[rows]
+    pinned = problem.pinned[row]
     data[pinned] = 0.0
     data[pinned & diag] = 1.0
-    # copies: eliminate_zeros compacts the index arrays in place
-    jac = sp.csr_matrix((data, cols.copy(), indptr.copy()), shape=(n, n))
-    jac.eliminate_zeros()
-    return jac
+    # drop zero entries as eliminate_zeros would; kept[k] counts the entries
+    # kept before band position k, so kept[indptr] is the new index pointer
+    nonzero = data != 0.0
+    kept = np.zeros(data.size + 1, dtype=np.int32)
+    np.cumsum(nonzero, out=kept[1:])
+    return sp.csc_matrix((data[nonzero], row[nonzero], kept[indptr]),
+                         shape=(n, n))
 
 
 def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,

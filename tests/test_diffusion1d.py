@@ -94,6 +94,35 @@ class TestResidual:
             assert np.abs(nu - 1.7 ** 2).max() < 1e-12
 
 
+class TestStackedStates:
+    """A (k, n) stack of states gives k rows bit-identical to k single-state
+    calls; the solver's Jacobian relies on it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 31])
+    @pytest.mark.parametrize("strategy", [
+        "lr-average", "arithmetic", "inverse-distance", "one-sided-left",
+        "one-sided-right", "weighted:0.75", "weighted:1"])
+    def test_rows_equal_single_calls(self, strategy, n):
+        p = make_problem(n=n, strategy=strategy, seed=n)
+        rng = np.random.default_rng(n)
+        ue = diffusion1d.exact_solution(p.grid.cell_centers)
+        states = ue * (1.0 + 0.1 * rng.standard_normal((4, n)))
+        stacked = {
+            "gradient": recon.gradient_1d(p.grid, states),
+            "closed": diffusion1d.residual_1d(p, states),
+            "open": diffusion1d.residual_1d(p, states, with_closure=False),
+        }
+        assert all(a.shape == states.shape for a in stacked.values())
+        for i, u in enumerate(states):
+            assert np.array_equal(stacked["gradient"][i],
+                                  recon.gradient_1d(p.grid, u))
+            assert np.array_equal(stacked["closed"][i],
+                                  diffusion1d.residual_1d(p, u))
+            assert np.array_equal(
+                stacked["open"][i],
+                diffusion1d.residual_1d(p, u, with_closure=False))
+
+
 class TestClosure:
     def test_boundary_closure_pins_exact_values(self):
         p = make_problem(n=9, seed=8)

@@ -1,11 +1,13 @@
 """3D Navier-Stokes manufactured solution: oracles and residual structure."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fvvisc
 from fvvisc import mesh, ns3d, physics
 from fvvisc.recon import Strategy
 
@@ -83,8 +85,14 @@ class TestForcingOracle:
                 "                     Strategy.from_name('arithmetic'))\n"
                 "ns3d.mms_forcing(p.mesh.cell_centroid)\n"
                 "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+        # the child imports the same fvvisc, also when only pytest's
+        # pythonpath setting put it on this process's path
+        src = os.path.dirname(os.path.dirname(fvvisc.__file__))
+        path = os.pathsep.join(filter(None, (src,
+                                             os.environ.get("PYTHONPATH"))))
         run = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path))
         assert run.returncode == 0, run.stderr
 
 

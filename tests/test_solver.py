@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.optimize import root
 
 from fvvisc import diffusion1d, mesh, ns3d, physics, solver, verify
@@ -127,24 +128,52 @@ class TestColoredJacobian1D:
         u = perturbed_state(p, seed=n)
         for cfl in (10.0, 1e5):
             got = solver._jacobian_1d(p, u, cfl)
-            ref = dense_jacobian_1d(p, u, cfl)
+            ref = dense_jacobian_1d(p, u, cfl).tocsc()
+            assert got.format == "csc"
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
-    @pytest.mark.parametrize("n", [7, 127])
-    def test_one_build_costs_six_residuals(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [3, 7, 127])
+    def test_one_build_costs_one_stacked_residual(self, monkeypatch, n):
         p = make_1d(n=n, seed=1)
         u = perturbed_state(p, seed=1)
-        calls = []
+        shapes = []
         original = diffusion1d.residual_1d
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(problem, u, *args, **kwargs):
+            shapes.append(np.shape(u))
+            return original(problem, u, *args, **kwargs)
 
         monkeypatch.setattr(diffusion1d, "residual_1d", counted)
         solver._jacobian_1d(p, u, 10.0)
-        assert len(calls) == 6     # base state plus one per color
+        # the base state plus one perturbed state per color
+        assert shapes == [(min(5, n) + 1, n)]
+
+    def test_one_sided_left_study_matches_per_column_superlu(
+            self, monkeypatch):
+        """Rounding guard: one-sided-left rows sit on spurious roots, and
+        which root a row reaches depends on rounding, so the production
+        Jacobian and linear solve must reproduce the per-column difference
+        factored by SuperLU bit for bit."""
+        def study():
+            rec = verify.run_study_1d(["one-sided-left"],
+                                      sizes=(7, 11, 15, 19, 23), seed=4000)
+            return np.array(rec["one-sided-left"].errors)[:, 0]
+
+        got = study()
+
+        class PerColumnSuperLU:
+            def __init__(self, mat, sweeps):
+                self._lu = spla.splu(mat.tocsc())
+
+            def solve(self, rhs):
+                return self._lu.solve(rhs)
+
+        monkeypatch.setattr(solver, "_jacobian_1d", dense_jacobian_1d)
+        monkeypatch.setattr(solver, "_LinearSolver", PerColumnSuperLU)
+        ref = study()
+        assert np.isfinite(ref).any()
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestLinearSolver:
