@@ -37,7 +37,13 @@ class Diffusion1DProblem:
         n = self.grid.n_cells
         self.pinned = np.zeros(n, dtype=bool)
         self.pinned[[0, -1]] = True
-        self.forcing = forcing(self.grid.cell_centers)
+        x = self.grid.cell_centers
+        self.forcing = forcing(x)
+        # face-to-centroid distances of the left and right cells, and the
+        # cell-center spacing across each face
+        xf = self.grid.face_coords
+        self.f_dist = (xf - x[:-1], x[1:] - xf)
+        self.f_spacing = x[1:] - x[:-1]
 
     def initial_state(self) -> np.ndarray:
         """Linear interpolant between the pinned boundary-cell values.
@@ -69,18 +75,16 @@ def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
     The cells are the last axis of u; leading axes stack states, and each
     stacked row is bit-identical to a single-state call.
     """
-    grid = problem.grid
-    x = grid.cell_centers
-    xf = grid.face_coords
-    gx = gradient_1d(grid, u)
+    d_j, d_k = problem.f_dist
+    gx = gradient_1d(problem.grid, u)
 
     uj, uk = u[..., :-1], u[..., 1:]
     gj, gk = gx[..., :-1], gx[..., 1:]
-    u_l = uj + gj * (xf - x[:-1])
-    u_r = uk + gk * (xf - x[1:])
-    dudx_f = face_derivative_1d(gj, gk, u_l, u_r, x[1:] - x[:-1])
+    u_l = uj + gj * d_j
+    u_r = uk - gk * d_k
+    dudx_f = face_derivative_1d(gj, gk, u_l, u_r, problem.f_spacing)
     nu = face_scalar(problem.strategy, uj ** 2, uk ** 2, u_l ** 2,
-                     u_r ** 2, x[:-1], x[1:], xf)
+                     u_r ** 2, d_j, d_k)
     return nu * dudx_f
 
 

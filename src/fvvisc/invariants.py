@@ -78,7 +78,7 @@ def _face_values(strategy, seed, x_f):
     random ones, with cell centers 0 and 1."""
     rng = np.random.default_rng(seed)
     t = np.column_stack([[2.0, 3.0, 2.4, 2.6], rng.uniform(0.5, 2.0, (4, 64))])
-    return recon.face_scalar(strategy, *t, 0.0, 1.0, x_f)
+    return recon.face_scalar(strategy, *t, x_f, 1.0 - x_f)
 
 
 def weighted_half_equals_arithmetic():
@@ -100,7 +100,7 @@ def arithmetic_boundedness():
     for seed, lo, hi, n, slack in ((11, 0.5, 2.0, 64, 1e-15),
                                    (7, 0.1, 3.0, 256, 0.0)):
         t_j, t_k = np.random.default_rng(seed).uniform(lo, hi, (2, n))
-        f = recon.face_scalar(ARITHMETIC, t_j, t_k, t_j, t_k, 0.0, 1.0, 0.5)
+        f = recon.face_scalar(ARITHMETIC, t_j, t_k, t_j, t_k)
         assert np.all((f >= np.minimum(t_j, t_k) - slack)
                       & (f <= np.maximum(t_j, t_k) + slack)), \
             f"arithmetic average out of bounds (seed {seed})"

@@ -110,13 +110,20 @@ class NS3DProblem:
         self.exact = mms_state(xc)                       # (C, 5)
         self.forcing = mms_forcing(xc)                   # (C, 5)
         self.pinned = self.mesh.boundary_cell.copy()
-        # face-local geometry for assembly
+        # static face geometry, read by the residual and the Jacobian
         fi = self.mesh.interior_faces
         self.f_owner = self.mesh.face_owner[fi]
         self.f_neighbor = self.mesh.face_neighbor[fi]
         self.f_area = self.mesh.face_area[fi]
         self.f_nhat = self.mesh.face_normal[fi] / self.f_area[:, None]
-        self.f_centroid = self.mesh.face_centroid[fi]
+        # face centroid minus owner / neighbor centroid, their lengths as
+        # (F, 1) columns, and the projected centroid distance (x_k - x_o).n
+        x_f = self.mesh.face_centroid[fi]
+        x_o, x_k = xc[self.f_owner], xc[self.f_neighbor]
+        self.f_offset = (x_f - x_o, x_f - x_k)
+        self.f_dist = tuple(np.linalg.norm(d, axis=-1)[:, None]
+                            for d in self.f_offset)
+        self.f_dn = np.einsum("fd,fd->f", x_k - x_o, self.f_nhat)
 
     def initial_state(self) -> np.ndarray:
         """Free-stream constants everywhere, exact solution in pinned cells."""
@@ -141,30 +148,26 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
     grads = recon.lsq_gradient_3d(mesh, w)               # (C, 5, 3)
 
     o, k = problem.f_owner, problem.f_neighbor
-    xc = mesh.cell_centroid
-    w_l, w_r = recon.reconstruct_lr(w[o], grads[o], xc[o], w[k], grads[k],
-                                    xc[k], problem.f_centroid)
+    w_o, w_k = w[o], w[k]
+    w_l, w_r = recon.reconstruct_lr(w_o, grads[o], w_k, grads[k],
+                                    *problem.f_offset)
 
     flux = physics.roe_flux(w_l, w_r, problem.f_nhat)
 
     grad_f = recon.alpha_damped_face_gradient(grads[o], grads[k], w_l, w_r,
-                                              xc[o], xc[k], problem.f_nhat)
-    t_f = recon.face_scalar(problem.strategy, w[o][:, 4], w[k][:, 4],
-                            w_l[:, 4], w_r[:, 4], xc[o], xc[k],
-                            problem.f_centroid)
+                                              problem.f_dn, problem.f_nhat)
+    # face velocity and temperature, state columns (u, v, w, T): one call
+    tv_f = recon.face_scalar(problem.strategy, w_o[:, 1:], w_k[:, 1:],
+                             w_l[:, 1:], w_r[:, 1:], *problem.f_dist)
+    t_f = tv_f[:, 3]
     if np.any(t_f <= 0.0):
         raise physics.NonpositiveTemperatureError(
             f"strategy {problem.strategy.name!r} produced a non-positive "
             "face temperature")
-    v_f = np.stack([recon.face_scalar(problem.strategy, w[o][:, 1 + d],
-                                      w[k][:, 1 + d], w_l[:, 1 + d],
-                                      w_r[:, 1 + d], xc[o], xc[k],
-                                      problem.f_centroid)
-                    for d in range(3)], axis=-1)
     mu_f = physics.sutherland_viscosity(t_f)
-    flux = flux + physics.viscous_normal_flux(grad_f[:, 1:4, :],
-                                              grad_f[:, 4, :], v_f, mu_f,
-                                              problem.f_nhat)
+    flux = flux + physics.viscous_normal_flux(
+        grad_f[:, 1:4, :], grad_f[:, 4, :],
+        np.ascontiguousarray(tv_f[:, :3]), mu_f, problem.f_nhat)
 
     res = np.zeros((mesh.n_cells, 5))
     contrib = flux * problem.f_area[:, None]

@@ -152,26 +152,24 @@ def lsq_gradient_3d(mesh: Mesh3D, field: np.ndarray) -> np.ndarray:
     return grads
 
 
-def reconstruct_lr(state_j, grad_j, x_j, state_k, grad_k, x_k, x_c):
+def reconstruct_lr(state_j, grad_j, state_k, grad_k, off_j, off_k):
     """Linear one-sided extrapolations of both cell states to the face centroid.
 
-    state: (..., m); grad: (..., m, d); x: (..., d).  Returns (w_L, w_R).
+    state: (..., m); grad: (..., m, d); off: (..., d), the face centroid
+    minus the cell centroid.  Returns (w_L, w_R).
     """
-    dl = np.asarray(x_c) - np.asarray(x_j)
-    dr = np.asarray(x_c) - np.asarray(x_k)
-    w_l = state_j + np.einsum("...md,...d->...m", np.asarray(grad_j), dl)
-    w_r = state_k + np.einsum("...md,...d->...m", np.asarray(grad_k), dr)
+    w_l = state_j + np.einsum("...md,...d->...m", np.asarray(grad_j), off_j)
+    w_r = state_k + np.einsum("...md,...d->...m", np.asarray(grad_k), off_k)
     return w_l, w_r
 
 
-def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, x_j, x_k, nhat):
+def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, dn, nhat):
     """Face gradient: averaged cell gradients plus a damped face-normal jump.
 
-    grad: (..., m, d); w: (..., m); nhat: (..., d) unit normal.
-    The damping scale is ALPHA / |(x_k - x_j) . nhat|.
+    grad: (..., m, d); w: (..., m); nhat: (..., d) unit normal; dn: (...,)
+    the centroid distance (x_k - x_j) . nhat.  The damping scale is
+    ALPHA / |dn|.
     """
-    dn = np.einsum("...d,...d->...", np.asarray(x_k) - np.asarray(x_j),
-                   np.asarray(nhat))
     if np.any(dn == 0.0):
         raise DegenerateGeometryError(
             "face with (x_k - x_j) orthogonal to the face normal")
@@ -190,25 +188,13 @@ def face_derivative_1d(gx_j, gx_k, u_l, u_r, dx_cells):
     return 0.5 * (gx_j + gx_k) + ALPHA / (2.0 * dx_cells) * (u_r - u_l)
 
 
-def _distances(x_f, x_j, x_k, value_ndim: int):
-    # Coordinates may be per-face scalars (1D) or carry a trailing spatial
-    # axis; disambiguate against the rank of the value arrays.
-    df = np.asarray(x_f, dtype=float)
-    dj = df - np.asarray(x_j, dtype=float)
-    dk = df - np.asarray(x_k, dtype=float)
-    if df.ndim > value_ndim:
-        return np.linalg.norm(dj, axis=-1), np.linalg.norm(dk, axis=-1)
-    return np.abs(dj), np.abs(dk)
-
-
-def face_scalar(strategy: Strategy, t_j, t_k, t_l, t_r, x_j=None, x_k=None,
-                x_f=None):
+def face_scalar(strategy: Strategy, t_j, t_k, t_l, t_r, d_j=None, d_k=None):
     """Face value of a scalar under the selected reconstruction strategy.
 
     t_j, t_k are the adjacent cell values; t_l, t_r the linearly reconstructed
-    face values (used only by the L/R-average strategy).  Coordinates are
-    required only for inverse-distance weighting; they may be scalars (1D) or
-    (..., 3) arrays.
+    face values (used only by the L/R-average strategy).  The face-to-centroid
+    distances d_j, d_k are required only for inverse-distance weighting; they
+    broadcast against the values, so (F, 1) distances weight (F, m) values.
     """
     t_j = np.asarray(t_j, dtype=float)
     t_k = np.asarray(t_k, dtype=float)
@@ -224,8 +210,7 @@ def face_scalar(strategy: Strategy, t_j, t_k, t_l, t_r, x_j=None, x_k=None,
     if tag == "weighted":
         return strategy.omega * t_j + (1.0 - strategy.omega) * t_k
     # inverse-distance
-    dj, dk = _distances(x_f, x_j, x_k, t_j.ndim)
-    if np.any(dj == 0.0) or np.any(dk == 0.0):
+    if np.any(d_j == 0.0) or np.any(d_k == 0.0):
         raise DegenerateGeometryError(
             "inverse-distance weighting with a zero face-to-centroid distance")
-    return (t_j / dj + t_k / dk) / (1.0 / dj + 1.0 / dk)
+    return (t_j / d_j + t_k / d_k) / (1.0 / d_j + 1.0 / d_k)

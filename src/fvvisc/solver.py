@@ -213,8 +213,7 @@ def _krylov_step(matvec, precond, rhs):
 
 
 def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
-                            apply_update_fn, cfg: SolverConfig,
-                            history: IterationHistory | None = None, *,
+                            apply_update_fn, cfg: SolverConfig, *,
                             reference=None, cfl0: float = 10.0,
                             matvec_fn=None):
     """Generic implicit loop with SER pseudo-time control.
@@ -245,8 +244,7 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
     when the CFL moves by more than a factor of two since the last
     factorization.
     """
-    if history is None:
-        history = IterationHistory()
+    history = IterationHistory()
     u = u0
     res = residual_fn(u)
     norms = l1_norm_fn(res)
@@ -416,20 +414,6 @@ def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
 # 3D Navier-Stokes MMS
 # ---------------------------------------------------------------------------
 
-def _face_spectral_radii(problem, w):
-    """Convective and viscous spectral radii per interior face (unit area)."""
-    o, k = problem.f_owner, problem.f_neighbor
-    wf = 0.5 * (w[o] + w[k])
-    vn = np.einsum("fd,fd->f", wf[:, 1:4], problem.f_nhat)
-    c = np.sqrt(wf[:, 4])
-    d = np.linalg.norm(problem.mesh.cell_centroid[k]
-                       - problem.mesh.cell_centroid[o], axis=1)
-    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
-    lam_v = 2.0 * mu / (wf[:, 0] * d) * max(4.0 / 3.0,
-                                            physics.GAMMA / physics.PRANDTL)
-    return np.abs(vn) + c, lam_v
-
-
 def _prim_from_cons_jacobian(w):
     """d(rho, v, T)/d(rho, rho v, rho E) evaluated at primitive states w."""
     rho = w[..., 0]
@@ -448,58 +432,47 @@ def _prim_from_cons_jacobian(w):
     return m
 
 
-def _thin_layer_viscous_blocks(problem, w):
-    """Face viscous-flux Jacobian wrt neighbor conservative states.
-
-    Thin-layer model: the face viscous flux is approximated as a normal
-    diffusion of the primitive differences, F ~ -C (prim_k - prim_j) with
-    C = (mu_f / d) diag-coupled rows for momentum, tau.v work, and heat
-    conduction.  Returns (nf, 5, 5) blocks d(area F)/dU_o and d(area F)/dU_k.
-    """
-    o, k = problem.f_owner, problem.f_neighbor
-    wf = 0.5 * (w[o] + w[k])
-    # The damped face gradient carries the difference term with coefficient
-    # alpha / d_n (d_n = centroid distance projected on the face normal), so
-    # that is the normal-diffusion scale the Jacobian must reproduce.
-    d_n = np.abs(np.einsum("fd,fd->f",
-                           problem.mesh.cell_centroid[k]
-                           - problem.mesh.cell_centroid[o],
-                           problem.f_nhat))
-    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
-    coef = recon.ALPHA * mu / d_n
-    c = np.zeros((len(o), 5, 5))
-    for i in range(3):
-        c[:, 1 + i, 1 + i] = (4.0 / 3.0) * coef
-        c[:, 4, 1 + i] = (4.0 / 3.0) * coef * wf[:, 1 + i]
-    c[:, 4, 4] = coef / (physics.PRANDTL * (physics.GAMMA - 1.0))
-    m = _prim_from_cons_jacobian(wf)
-    cm = np.einsum("fij,fjk->fik", c, m)
-    area = problem.f_area[:, None, None]
-    return area * cm, -area * cm
-
-
 def _jacobian_ns3d(problem, w, cfl):
     """First-order Jacobian in conservative variables.
 
     Inviscid part: 0.5 (Fn(U_o) + Fn(U_k)) - 0.5 lambda_c (U_k - U_o) with
     lambda_c = |vn| + c.  Viscous part: thin-layer normal-diffusion blocks
     (a scalar viscous radius lumped onto every equation stalls the defect
-    correction, since continuity carries no viscous flux).  Pinned rows are
-    identity.
+    correction, since continuity carries no viscous flux): the face viscous
+    flux is approximated as F ~ -C (prim_k - prim_o), where C couples the
+    momentum, tau.v work and heat-conduction rows with the scale
+    ALPHA mu_f / |d_n| (d_n = ``problem.f_dn``), the coefficient of the
+    difference term in the damped face gradient.  The pseudo-time diagonal
+    adds a viscous spectral radius on the centroid distance.  Pinned rows
+    are identity.
     """
     mesh = problem.mesh
     nc = mesh.n_cells
     o, k = problem.f_owner, problem.f_neighbor
     area = problem.f_area
-    lam_c, lam_v = _face_spectral_radii(problem, w)
-    lam = lam_c + lam_v
+    # face state, viscosity and spectral radii (unit area)
+    wf = 0.5 * (w[o] + w[k])
+    lam_c = np.abs(np.einsum("fd,fd->f", wf[:, 1:4], problem.f_nhat)) + \
+        np.sqrt(wf[:, 4])
+    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
+    d = np.linalg.norm(mesh.cell_centroid[k] - mesh.cell_centroid[o], axis=1)
+    lam = lam_c + 2.0 * mu / (wf[:, 0] * d) * max(
+        4.0 / 3.0, physics.GAMMA / physics.PRANDTL)
+
+    coef = recon.ALPHA * mu / np.abs(problem.f_dn)
+    c = np.zeros((len(o), 5, 5))
+    for i in range(3):
+        c[:, 1 + i, 1 + i] = (4.0 / 3.0) * coef
+        c[:, 4, 1 + i] = (4.0 / 3.0) * coef * wf[:, 1 + i]
+    c[:, 4, 4] = coef / (physics.PRANDTL * (physics.GAMMA - 1.0))
+    visc = area[:, None, None] * np.einsum("fij,fjk->fik", c,
+                                           _prim_from_cons_jacobian(wf))
 
     eye = np.eye(5)
     a_o = physics.inviscid_flux_jacobian(w[o], problem.f_nhat)
     a_k = physics.inviscid_flux_jacobian(w[k], problem.f_nhat)
-    v_o, v_k = _thin_layer_viscous_blocks(problem, w)
-    blk_o = 0.5 * area[:, None, None] * (a_o + lam_c[:, None, None] * eye) + v_o
-    blk_k = 0.5 * area[:, None, None] * (a_k - lam_c[:, None, None] * eye) + v_k
+    blk_o = 0.5 * area[:, None, None] * (a_o + lam_c[:, None, None] * eye) + visc
+    blk_k = 0.5 * area[:, None, None] * (a_k - lam_c[:, None, None] * eye) - visc
 
     unpinned = ~problem.pinned
     rows_ok = unpinned[o]

@@ -150,10 +150,10 @@ def run_study_1d(strategies, sizes=GRID_SIZES_1D, perturbation: float = 0.3,
                  out_dir: str | None = None):
     """1D nonlinear-diffusion convergence study; returns {name: record}.
 
-    Each grid level uses the deterministic seed ``seed + n`` so any level can
-    be regenerated in isolation.  Solutions are warm-started from the
-    interpolated previous-level solution, which keeps the solver on the same
-    solution branch across the family.
+    Level n draws its grid with seed ``seed + n``, so that grid can be
+    regenerated in isolation, but past the first level not its row: each
+    solve is warm-started from the interpolated previous-level solution,
+    which keeps the solver on the same solution branch across the family.
     """
     if solver_cfg is None:
         solver_cfg = solver.SolverConfig()

@@ -175,7 +175,7 @@ def _face_value_errors(strategy_name, n, seed=3):
     xj, xk = grid.cell_centers[:-1], grid.cell_centers[1:]
     t_l = t[:-1] + g[:-1] * (xf - xj)
     t_r = t[1:] + g[1:] * (xf - xk)
-    tf = recon.face_scalar(strat, t[:-1], t[1:], t_l, t_r, xj, xk, xf)
+    tf = recon.face_scalar(strat, t[:-1], t[1:], t_l, t_r, xf - xj, xk - xf)
     return np.abs(tf - np.exp(2.0 * xf)).mean()
 
 
@@ -208,8 +208,8 @@ def test_regular_grid_linear_exactness_arithmetic():
     t_r = t[1:] + g[1:] * (xf - xk)
     exact = 3.0 * xf + 0.5
     arith = recon.face_scalar(Strategy("arithmetic"), t[:-1], t[1:],
-                              t_l, t_r, xj, xk, xf)
+                              t_l, t_r)
     assert np.abs(arith - exact).max() < 1e-13
     one_sided = recon.face_scalar(Strategy("one-sided-left"), t[:-1], t[1:],
-                                  t_l, t_r, xj, xk, xf)
+                                  t_l, t_r)
     assert np.abs(one_sided - exact).max() > 1e-3

@@ -19,7 +19,7 @@ def face_viscosity(grid, strategy, u):
     u_l = u[:-1] + gx[:-1] * (xf - x[:-1])
     u_r = u[1:] + gx[1:] * (xf - x[1:])
     return recon.face_scalar(strategy, u[:-1] ** 2, u[1:] ** 2, u_l ** 2,
-                             u_r ** 2, x[:-1], x[1:], xf)
+                             u_r ** 2, xf - x[:-1], x[1:] - xf)
 
 
 class TestManufacturedSolution:

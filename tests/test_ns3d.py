@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fvvisc
-from fvvisc import mesh, ns3d, physics
+from fvvisc import invariants, mesh, ns3d, physics
 from fvvisc.recon import Strategy
 
 
@@ -20,17 +20,6 @@ def small_mesh():
 @pytest.fixture(scope="module")
 def problem(small_mesh):
     return ns3d.NS3DProblem(small_mesh, Strategy.from_name("arithmetic"))
-
-
-def fd_flux_divergence(points, h=1e-3):
-    """4th-order central divergence of the analytic total flux."""
-    div = np.zeros((len(points), 5))
-    for d in range(3):
-        for s, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-            q = points.copy()
-            q[:, d] += s * h
-            div += c / (12.0 * h) * ns3d.mms_total_flux(q)[:, d, :]
-    return div
 
 
 class TestManufacturedState:
@@ -66,7 +55,7 @@ class TestForcingOracle:
         rng = np.random.default_rng(6)
         pts = rng.uniform(0.05, 0.45, (100, 3))
         f = ns3d.mms_forcing(pts)
-        fd = fd_flux_divergence(pts)
+        fd = invariants._fd_flux_divergence(pts)
         rel = np.abs(f - fd).max() / np.abs(f).max()
         assert rel < 1e-7
 
@@ -143,3 +132,25 @@ class TestResidual:
                               problem.exact[problem.pinned])
         inner = ~problem.pinned
         assert np.abs(w0[inner] - [1.0, 0.3, 0.2, 0.1, 1.0]).max() == 0.0
+
+
+class TestStaticFaceGeometry:
+    def test_face_geometry_matches_mesh(self, problem, small_mesh):
+        # offsets, their lengths and the projected centroid distance,
+        # derived face by face from the mesh arrays
+        m = small_mesh
+        faces = m.interior_faces
+        x_o = m.cell_centroid[m.face_owner[faces]]
+        x_k = m.cell_centroid[m.face_neighbor[faces]]
+        x_f = m.face_centroid[faces]
+        nhat = m.face_normal[faces] / m.face_area[faces, None]
+        for got, x_c in zip(problem.f_offset, (x_o, x_k)):
+            assert np.array_equal(got, x_f - x_c)
+        for got, x_c in zip(problem.f_dist, (x_o, x_k)):
+            assert got.shape == (len(faces), 1)
+            expect = [np.sqrt(np.dot(d, d)) for d in x_f - x_c]
+            assert np.allclose(got[:, 0], expect, rtol=1e-14, atol=0.0)
+        expect = [np.dot(d, n) for d, n in zip(x_k - x_o, nhat)]
+        assert np.allclose(problem.f_dn, expect, rtol=1e-13, atol=1e-16)
+        # owner-to-neighbor orientation: every centroid distance is positive
+        assert np.all(problem.f_dn > 0.0)

@@ -85,9 +85,9 @@ class TestReconstructLR:
         fi = m.interior_faces
         o, k = m.face_owner[fi], m.face_neighbor[fi]
         xf = m.face_centroid[fi]
-        w_l, w_r = recon.reconstruct_lr(phi[o], grads[o], m.cell_centroid[o],
-                                        phi[k], grads[k], m.cell_centroid[k],
-                                        xf)
+        w_l, w_r = recon.reconstruct_lr(phi[o], grads[o], phi[k], grads[k],
+                                        xf - m.cell_centroid[o],
+                                        xf - m.cell_centroid[k])
         exact = (xf @ coef)[:, None]
         assert np.abs(w_l - exact).max() < 1e-12
         assert np.abs(w_r - exact).max() < 1e-12
@@ -102,22 +102,22 @@ class TestAlphaDampedGradient:
         fi = m.interior_faces
         o, k = m.face_owner[fi], m.face_neighbor[fi]
         nhat = m.face_normal[fi] / m.face_area[fi][:, None]
-        w_l, w_r = recon.reconstruct_lr(phi[o], grads[o], m.cell_centroid[o],
-                                        phi[k], grads[k], m.cell_centroid[k],
-                                        m.face_centroid[fi])
+        x_o, x_k, xf = m.cell_centroid[o], m.cell_centroid[k], \
+            m.face_centroid[fi]
+        w_l, w_r = recon.reconstruct_lr(phi[o], grads[o], phi[k], grads[k],
+                                        xf - x_o, xf - x_k)
+        dn = np.einsum("fd,fd->f", x_k - x_o, nhat)
         gf = recon.alpha_damped_face_gradient(grads[o], grads[k], w_l, w_r,
-                                              m.cell_centroid[o],
-                                              m.cell_centroid[k], nhat)
+                                              dn, nhat)
         assert np.abs(gf[:, 0, :] - coef).max() < 1e-11
 
     def test_degenerate_geometry_raises(self):
         g = np.zeros((1, 1, 3))
         w = np.zeros((1, 1))
-        x_j = np.array([[0.0, 0.0, 0.0]])
-        x_k = np.array([[0.0, 1.0, 0.0]])
-        nhat = np.array([[1.0, 0.0, 0.0]])  # orthogonal to x_k - x_j
+        nhat = np.array([[1.0, 0.0, 0.0]])
+        dn = np.array([0.0])  # x_k - x_j orthogonal to the face normal
         with pytest.raises(recon.DegenerateGeometryError):
-            recon.alpha_damped_face_gradient(g, g, w, w, x_j, x_k, nhat)
+            recon.alpha_damped_face_gradient(g, g, w, w, dn, nhat)
 
     def test_face_derivative_1d_matches_formula(self):
         val = recon.face_derivative_1d(1.0, 3.0, 0.5, 0.9, 0.1)
@@ -125,7 +125,7 @@ class TestAlphaDampedGradient:
 
 
 class TestFaceScalar:
-    ARGS = dict(t_j=2.0, t_k=4.0, t_l=2.5, t_r=3.5, x_j=0.0, x_k=1.0, x_f=0.4)
+    ARGS = dict(t_j=2.0, t_k=4.0, t_l=2.5, t_r=3.5, d_j=0.4, d_k=0.6)
 
     def test_arithmetic(self):
         assert recon.face_scalar(Strategy("arithmetic"), **self.ARGS) == 3.0
@@ -155,22 +155,30 @@ class TestFaceScalar:
         assert abs(val - expect) < 1e-14
 
     def test_inverse_distance_equal_distance_equals_arithmetic(self):
-        args = dict(self.ARGS, x_f=0.5)
+        args = dict(self.ARGS, d_j=0.5, d_k=0.5)
         a = recon.face_scalar(Strategy("inverse-distance"), **args)
         b = recon.face_scalar(Strategy("arithmetic"), **args)
         assert abs(a - b) < 1e-14
 
-    def test_inverse_distance_3d_coordinates(self):
-        args = dict(self.ARGS, x_j=np.array([0.0, 0.0, 0.0]),
-                    x_k=np.array([1.0, 0.0, 0.0]),
-                    x_f=np.array([0.5, 0.0, 0.0]))
-        val = recon.face_scalar(Strategy("inverse-distance"),
-                                np.array(2.0), np.array(4.0), 0.0, 0.0,
-                                args["x_j"], args["x_k"], args["x_f"])
-        assert abs(val - 3.0) < 1e-14
+    @pytest.mark.parametrize("name", ["lr-average", "arithmetic",
+                                      "inverse-distance", "one-sided-left",
+                                      "one-sided-right", "weighted:0.75"])
+    def test_stacked_columns_match_per_column_calls(self, name):
+        # (F, 4) values with (F, 1) distances, as the 3D residual evaluates
+        # temperature and velocity, equal four per-column calls bit for bit
+        rng = np.random.default_rng(8)
+        t_j, t_k, t_l, t_r = rng.uniform(0.5, 2.0, (4, 50, 4))
+        d_j, d_k = rng.uniform(0.05, 0.3, (2, 50, 1))
+        strategy = Strategy.from_name(name)
+        stacked = recon.face_scalar(strategy, t_j, t_k, t_l, t_r, d_j, d_k)
+        for c in range(4):
+            col = recon.face_scalar(strategy, t_j[:, c], t_k[:, c],
+                                    t_l[:, c], t_r[:, c], d_j[:, 0],
+                                    d_k[:, 0])
+            assert np.array_equal(stacked[:, c], col)
 
     def test_inverse_distance_zero_distance_raises(self):
-        args = dict(self.ARGS, x_f=0.0)
+        args = dict(self.ARGS, d_j=0.0)
         with pytest.raises(recon.DegenerateGeometryError):
             recon.face_scalar(Strategy("inverse-distance"), **args)
 
@@ -180,7 +188,7 @@ class TestFaceScalar:
         x_f = rng.uniform(0.3, 0.7, 128)
         for tag in ("arithmetic", "inverse-distance"):
             f = recon.face_scalar(Strategy(tag), t_j, t_k, t_j, t_k,
-                                  np.zeros(128), np.ones(128), x_f)
+                                  x_f, 1.0 - x_f)
             assert np.all(f >= np.minimum(t_j, t_k) - 1e-14)
             assert np.all(f <= np.maximum(t_j, t_k) + 1e-14)
             assert np.all(f > 0.0)
