@@ -149,12 +149,12 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
 
     o, k = problem.f_owner, problem.f_neighbor
     w_o, w_k = w[o], w[k]
-    w_l, w_r = recon.reconstruct_lr(w_o, grads[o], w_k, grads[k],
-                                    *problem.f_offset)
+    g_o, g_k = grads[o], grads[k]
+    w_l, w_r = recon.reconstruct_lr(w_o, g_o, w_k, g_k, *problem.f_offset)
 
     flux = physics.roe_flux(w_l, w_r, problem.f_nhat)
 
-    grad_f = recon.alpha_damped_face_gradient(grads[o], grads[k], w_l, w_r,
+    grad_f = recon.alpha_damped_face_gradient(g_o, g_k, w_l, w_r,
                                               problem.f_dn, problem.f_nhat)
     # face velocity and temperature, state columns (u, v, w, T): one call
     tv_f = recon.face_scalar(problem.strategy, w_o[:, 1:], w_k[:, 1:],

@@ -90,56 +90,95 @@ def gradient_1d(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 def _lsq_operator(mesh: Mesh3D):
     """Sparse gradient operators (Gx, Gy, Gz) such that grad_d = G_d @ field.
 
-    Stencil per cell: face-adjacent neighbors, augmented with
-    neighbors-of-neighbors when the normal matrix is rank deficient (possible
-    only near boundaries on tet grids).  Cached on the mesh.
+    Stencil per cell: face-adjacent neighbors.  The neighbor lists come from
+    the interior faces by a stable sort on cell index, every (C, 3, 3) normal
+    matrix is accumulated at once, one batched SVD applies the rank test and
+    one batched solve gives the weights of every full-rank cell.  The few
+    rank-deficient cells (possible only near boundaries on tet grids) are
+    built one by one: their stencils are augmented with neighbors-of-neighbors,
+    and SingularStencilError is raised if that does not give full rank.  The
+    diagonal entry is minus the row sum, so constants have zero gradient.
+    Cached on the mesh.
     """
     cached = mesh._lsq_cache.get("ops")
     if cached is not None:
         return cached
 
     nc = mesh.n_cells
-    nbrs: list[list[int]] = [[] for _ in range(nc)]
     interior = mesh.interior_faces
-    for o, k in zip(mesh.face_owner[interior], mesh.face_neighbor[interior]):
-        nbrs[o].append(int(k))
-        nbrs[k].append(int(o))
+    o, k = mesh.face_owner[interior], mesh.face_neighbor[interior]
+    # directed edges (cell, neighbor), grouped by cell in face order
+    cell = np.column_stack((o, k)).ravel()
+    nbr = np.column_stack((k, o)).ravel()
+    order = np.argsort(cell, kind="stable")
+    cell, nbr = cell[order], nbr[order]
+    count = np.bincount(cell, minlength=nc)
+    ptr = np.concatenate([[0], np.cumsum(count)])  # nbr[ptr[c]:ptr[c+1]]
+    slot = np.arange(cell.size) - ptr[cell]
 
     xc = mesh.cell_centroid
-    rows, cols, wx, wy, wz = [], [], [], [], []
-    for c in range(nc):
-        stencil = nbrs[c]
-        for _ in range(2):
-            dx = xc[stencil] - xc[c]
-            g = dx.T @ dx
-            sv = np.linalg.svd(g, compute_uv=False)
-            if sv[-1] > _RANK_TOL * sv[0]:
-                break
-            extra = sorted({m for k in stencil for m in nbrs[k]}
-                           - {c} - set(stencil))
-            if not extra:
-                break
-            stencil = stencil + extra
+    dx = xc[nbr] - xc[cell]                               # (E, 3)
+    g = np.empty((nc, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            g[:, a, b] = g[:, b, a] = np.bincount(
+                cell, dx[:, a] * dx[:, b], minlength=nc)
+    sv = np.linalg.svd(g, compute_uv=False)
+    full = sv[:, -1] > _RANK_TOL * sv[:, 0]
+
+    # one solve per full-rank cell against its zero-padded (3, kmax) stencil
+    rhs = np.zeros((nc, 3, count.max(initial=0)))
+    rhs[cell, :, slot] = dx
+    w = np.zeros_like(rhs)
+    w[full] = np.linalg.solve(g[full], rhs[full])
+    on = full[cell]
+    diag = np.flatnonzero(full)
+    rows = [cell[on], diag]
+    cols = [nbr[on], diag]
+    data = [w[cell[on], :, slot[on]], -w[full].sum(axis=2)]
+
+    for c in np.flatnonzero(~full).tolist():
+        stencil, wc = _augmented_stencil(xc, nbr, ptr, c)
+        rows.append(np.full(len(stencil) + 1, c))
+        cols.append(np.append(stencil, c))
+        data.append(np.vstack([wc.T, -wc.sum(axis=1)]))
+
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    data = np.concatenate(data)
+    ops = tuple(sp.csr_matrix((data[:, d], (rows, cols)), shape=(nc, nc))
+                for d in range(3))
+    mesh._lsq_cache["ops"] = ops
+    return ops
+
+
+def _augmented_stencil(xc, nbr, ptr, c):
+    """Augmented stencil and (3, k) weights of a rank-deficient cell.
+
+    The neighbors of cell j are nbr[ptr[j]:ptr[j+1]].  The stencil grows by
+    neighbors-of-neighbors until the normal matrix has full rank;
+    SingularStencilError if it still does not.
+    """
+    stencil = nbr[ptr[c]:ptr[c + 1]].tolist()
+    for _ in range(2):
         dx = xc[stencil] - xc[c]
         g = dx.T @ dx
         sv = np.linalg.svd(g, compute_uv=False)
-        if len(stencil) < 3 or sv[-1] <= _RANK_TOL * sv[0]:
-            raise SingularStencilError(
-                f"cell {c}: least-squares stencil of size {len(stencil)} "
-                "is rank deficient")
-        w = np.linalg.solve(g, dx.T)  # (3, k)
-        rows.extend([c] * (len(stencil) + 1))
-        cols.extend(stencil)
-        cols.append(c)
-        for arr, comp in ((wx, 0), (wy, 1), (wz, 2)):
-            arr.extend(w[comp])
-            arr.append(-w[comp].sum())
-
-    shape = (nc, nc)
-    ops = tuple(sp.csr_matrix((data, (rows, cols)), shape=shape)
-                for data in (wx, wy, wz))
-    mesh._lsq_cache["ops"] = ops
-    return ops
+        if sv[-1] > _RANK_TOL * sv[0]:
+            break
+        extra = sorted({m for j in stencil
+                        for m in nbr[ptr[j]:ptr[j + 1]].tolist()}
+                       - {c} - set(stencil))
+        if not extra:
+            break
+        stencil = stencil + extra
+    dx = xc[stencil] - xc[c]
+    g = dx.T @ dx
+    sv = np.linalg.svd(g, compute_uv=False)
+    if len(stencil) < 3 or sv[-1] <= _RANK_TOL * sv[0]:
+        raise SingularStencilError(
+            f"cell {c}: least-squares stencil of size {len(stencil)} "
+            "is rank deficient")
+    return stencil, np.linalg.solve(g, dx.T)
 
 
 def lsq_gradient_3d(mesh: Mesh3D, field: np.ndarray) -> np.ndarray:

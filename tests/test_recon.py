@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fvvisc import mesh, recon
 from fvvisc.recon import Strategy
@@ -74,6 +75,76 @@ class TestLsqGradient3D:
         a = recon._lsq_operator(m)
         b = recon._lsq_operator(m)
         assert a is b
+
+
+def _reference_lsq_operator(m):
+    """Per-cell least-squares build: one SVD and one solve per cell."""
+    nbrs = [[] for _ in range(m.n_cells)]
+    interior = m.interior_faces
+    for o, k in zip(m.face_owner[interior], m.face_neighbor[interior]):
+        nbrs[o].append(int(k))
+        nbrs[k].append(int(o))
+
+    def full_rank(g):
+        sv = np.linalg.svd(g, compute_uv=False)
+        return sv[-1] > recon._RANK_TOL * sv[0]
+
+    xc = m.cell_centroid
+    rows, cols, data = [], [], []
+    for c in range(m.n_cells):
+        stencil = nbrs[c]
+        for _ in range(2):
+            dx = xc[stencil] - xc[c]
+            if full_rank(dx.T @ dx):
+                break
+            stencil = stencil + sorted({j for s in stencil for j in nbrs[s]}
+                                       - {c} - set(stencil))
+        dx = xc[stencil] - xc[c]
+        w = np.linalg.solve(dx.T @ dx, dx.T)
+        rows += [c] * (len(stencil) + 1)
+        cols += stencil + [c]
+        data += list(w.T) + [-w.sum(axis=1)]
+    data = np.array(data)
+    return tuple(sp.csr_matrix((data[:, d], (rows, cols)),
+                               shape=(m.n_cells, m.n_cells)) for d in range(3))
+
+
+class TestLsqOperatorAgainstPerCellBuild:
+    @pytest.mark.parametrize("n, augmented", [(2, 12), (3, 18)])
+    def test_matches_per_cell_build(self, n, augmented):
+        m = mesh.generate_tet_mesh(n, perturbation=0.2, seed=13)
+        ops = recon._lsq_operator(m)
+        ref = _reference_lsq_operator(m)
+        nbr_count = (np.bincount(m.face_owner[m.interior_faces],
+                                 minlength=m.n_cells)
+                     + np.bincount(m.face_neighbor[m.interior_faces],
+                                   minlength=m.n_cells))
+        assert (np.diff(ops[0].indptr) > nbr_count + 1).sum() == augmented
+        for op, r in zip(ops, ref):
+            assert op.has_canonical_format
+            assert np.array_equal(op.indptr, r.indptr)
+            assert np.array_equal(op.indices, r.indices)
+            assert np.abs(op.data - r.data).max() <= \
+                1e-13 * np.abs(r.data).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linear_exactness_on_every_row(self, n):
+        m = mesh.generate_tet_mesh(n, perturbation=0.2, seed=13)
+        coef = np.array([0.7, -1.3, 2.1])
+        phi = m.cell_centroid @ coef - 0.4
+        for d, op in enumerate(recon._lsq_operator(m)):
+            assert np.abs(op @ phi - coef[d]).max() < 1e-12
+
+    def test_unaugmentable_stencil_raises_naming_the_cell(self):
+        # two tets sharing one face: each cell's only neighbor is the other,
+        # so no neighbors-of-neighbors can restore full rank
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        pair = mesh.build_mesh(vertices, np.array([[0, 1, 2, 3],
+                                                   [1, 2, 3, 4]]))
+        with pytest.raises(recon.SingularStencilError,
+                           match=r"^cell 0: .* size 1 is rank deficient"):
+            recon._lsq_operator(pair)
 
 
 class TestReconstructLR:
