@@ -39,6 +39,10 @@ class Diffusion1DProblem:
         self.pinned[[0, -1]] = True
         x = self.grid.cell_centers
         self.forcing = forcing(x)
+        self.source = self.forcing * self.grid.cell_volumes
+        # exact values of the pinned first and last cells (the slice holds
+        # the first and last cell centers)
+        self.boundary_values = exact_solution(x[::x.size - 1])
         # face-to-centroid distances of the left and right cells, and the
         # cell-center spacing across each face
         xf = self.grid.face_coords
@@ -54,7 +58,7 @@ class Diffusion1DProblem:
         a constant start does not.
         """
         x = self.grid.cell_centers
-        ua, ub = exact_solution(x[0]), exact_solution(x[-1])
+        ua, ub = self.boundary_values
         u = ua + (ub - ua) * (x - x[0]) / (x[-1] - x[0])
         return apply_boundary_closure(self, u)
 
@@ -63,9 +67,7 @@ def apply_boundary_closure(problem: Diffusion1DProblem,
                            u: np.ndarray) -> np.ndarray:
     """Pin the first and last cells to the exact solution."""
     u = np.array(u, dtype=float)
-    x = problem.grid.cell_centers
-    u[0] = exact_solution(x[0])
-    u[-1] = exact_solution(x[-1])
+    u[0], u[-1] = problem.boundary_values
     return u
 
 
@@ -98,12 +100,11 @@ def residual_1d(problem: Diffusion1DProblem, u: np.ndarray,
     of stacked states; the solver's Jacobian evaluates all its perturbed
     states in one such call.
     """
-    grid = problem.grid
     phi = face_fluxes(problem, u)
     res = np.zeros(np.shape(u))
     res[..., :-1] -= phi
     res[..., 1:] += phi
-    res -= problem.forcing * grid.cell_volumes
+    res -= problem.source
     if with_closure:
         res[..., problem.pinned] = 0.0
     return res

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import physics, recon
+from . import layout, physics, recon
 from .mesh import Mesh3D
 from .recon import Strategy
 
@@ -109,6 +110,7 @@ class NS3DProblem:
         xc = self.mesh.cell_centroid
         self.exact = mms_state(xc)                       # (C, 5)
         self.forcing = mms_forcing(xc)                   # (C, 5)
+        self.source = self.forcing * self.mesh.cell_volume[:, None]
         self.pinned = self.mesh.boundary_cell.copy()
         # static face geometry, read by the residual and the Jacobian
         fi = self.mesh.interior_faces
@@ -124,6 +126,19 @@ class NS3DProblem:
         self.f_dist = tuple(np.linalg.norm(d, axis=-1)[:, None]
                             for d in self.f_offset)
         self.f_dn = np.einsum("fd,fd->f", x_k - x_o, self.f_nhat)
+        # normals and offsets as per-variable rows (fvvisc.layout), which
+        # the face kernels read without a copy
+        self.f_nhat = layout.variables_last(layout.rows(self.f_nhat))
+        self.f_offset = tuple(layout.variables_last(layout.rows(d))
+                              for d in self.f_offset)
+        # signed cell-by-face incidence times the face area, C x F CSR:
+        # +area in the owner row, -area in the neighbor row
+        faces = np.arange(len(fi))
+        self.f_incidence = sp.csr_matrix(
+            (np.concatenate((self.f_area, -self.f_area)),
+             (np.concatenate((self.f_owner, self.f_neighbor)),
+              np.concatenate((faces, faces)))),
+            shape=(self.mesh.n_cells, len(fi)))
 
     def initial_state(self) -> np.ndarray:
         """Free-stream constants everywhere, exact solution in pinned cells."""
@@ -141,40 +156,34 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
     are zeroed by the closure).  With ``with_closure=False`` the raw assembled
     residual is returned, which telescopes: its sum over all cells equals
     minus the total forcing.  ``include_forcing=False`` drops the source term
-    (used by the free-stream preservation check).
+    (used by the free-stream preservation check).  The face fluxes reach the
+    cells through one product with ``problem.f_incidence``.
     """
-    mesh = problem.mesh
     w = np.asarray(states, dtype=float)
-    grads = recon.lsq_gradient_3d(mesh, w)               # (C, 5, 3)
+    grads = recon.lsq_gradient_3d(problem.mesh, w)       # (C, 5, 3)
 
-    o, k = problem.f_owner, problem.f_neighbor
-    w_o, w_k = w[o], w[k]
-    g_o, g_k = grads[o], grads[k]
+    # face arrays are variables-last views of per-variable rows, which the
+    # recon and physics kernels read without a copy
+    faces = (problem.f_owner, problem.f_neighbor)
+    w_o, w_k = layout.gather(w, faces)
+    g_o, g_k = layout.gather(grads, faces, axes=2)
     w_l, w_r = recon.reconstruct_lr(w_o, g_o, w_k, g_k, *problem.f_offset)
 
     flux = physics.roe_flux(w_l, w_r, problem.f_nhat)
 
-    grad_f = recon.alpha_damped_face_gradient(g_o, g_k, w_l, w_r,
-                                              problem.f_dn, problem.f_nhat)
-    # face velocity and temperature, state columns (u, v, w, T): one call
+    # face gradient and face values of the state columns (u, v, w, T)
+    grad_f = recon.alpha_damped_face_gradient(
+        g_o[:, 1:], g_k[:, 1:], w_l[:, 1:], w_r[:, 1:], problem.f_dn,
+        problem.f_nhat)
     tv_f = recon.face_scalar(problem.strategy, w_o[:, 1:], w_k[:, 1:],
                              w_l[:, 1:], w_r[:, 1:], *problem.f_dist)
-    t_f = tv_f[:, 3]
-    if np.any(t_f <= 0.0):
-        raise physics.NonpositiveTemperatureError(
-            f"strategy {problem.strategy.name!r} produced a non-positive "
-            "face temperature")
-    mu_f = physics.sutherland_viscosity(t_f)
-    flux = flux + physics.viscous_normal_flux(
-        grad_f[:, 1:4, :], grad_f[:, 4, :],
-        np.ascontiguousarray(tv_f[:, :3]), mu_f, problem.f_nhat)
+    mu_f = physics.sutherland_viscosity(tv_f[:, 3])
+    flux += physics.viscous_normal_flux(grad_f[:, :3], grad_f[:, 3],
+                                        tv_f[:, :3], mu_f, problem.f_nhat)
 
-    res = np.zeros((mesh.n_cells, 5))
-    contrib = flux * problem.f_area[:, None]
-    np.add.at(res, o, contrib)
-    np.add.at(res, k, -contrib)
+    res = problem.f_incidence @ flux
     if include_forcing:
-        res -= problem.forcing * mesh.cell_volume[:, None]
+        res -= problem.source
     if with_closure:
         res[problem.pinned] = 0.0
     return res

@@ -3,13 +3,22 @@
 Primitive variables are (rho, u, v, w, T) with velocity scaled by the
 free-stream speed of sound, which gives p = rho T / gamma and the factor
 mach/reynolds in the Sutherland viscosity.  The flow condition is fixed:
-the module constants MACH ... PRANDTL below.  All routines broadcast over
-leading axes so they can be applied to whole arrays of faces at once.
+the module constants MACH ... PRANDTL below.
+
+Layout.  At the interface the variables are the last axis: a state is
+(..., 5), a vector (..., 3) and a velocity gradient (..., 3, 3), and every
+routine broadcasts over the leading axes, so one call serves a whole array
+of faces.  Inside, the flux routines take each input as per-variable rows,
+(5, ...), (3, ...) or (3, 3, ...), so that every step works on contiguous
+arrays over the faces, and write their (..., 5) or (..., 3) result once,
+as per-variable rows seen through a variables-last view (``fvvisc.layout``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import layout
 
 MACH = 0.1            # free-stream Mach number
 REYNOLDS = 0.1        # free-stream Reynolds number
@@ -68,17 +77,39 @@ def sutherland_viscosity(t_face):
     return (MACH / REYNOLDS) * (1.0 + cr) / (t_face + cr) * t_face ** 1.5
 
 
+def _stack(rows, lead):
+    """Write per-variable rows (scalars or broadcastable to lead) once into
+    (len(rows), *lead) storage; return its variables-last view."""
+    out = np.empty((len(rows),) + lead)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return layout.variables_last(out)
+
+
+def _dot(a, b):
+    """Inner product over the first axis of two vector rows (3, ...)."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _shear_rows(grad_v, mu, n):
+    """tau . n as (3, ...) rows from the rows grad_v[i, j] = d v_i / d x_j,
+    (3, 3, ...)."""
+    div = grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]
+    sym = grad_v + grad_v.swapaxes(0, 1)
+    sym_n = sym[:, 0] * n[0] + sym[:, 1] * n[1] + sym[:, 2] * n[2]
+    return mu * (sym_n - (2.0 / 3.0) * div * n)
+
+
 def shear_stress_normal(grad_v: np.ndarray, mu, nhat: np.ndarray) -> np.ndarray:
     """tau . nhat with tau = mu [grad v + (grad v)^t - (2/3) tr(grad v) I].
 
     grad_v[..., i, j] = d v_i / d x_j.
     """
-    grad_v = np.asarray(grad_v, dtype=float)
-    div = np.trace(grad_v, axis1=-2, axis2=-1)
-    tau = grad_v + np.swapaxes(grad_v, -1, -2)
-    tau = tau - (2.0 / 3.0) * div[..., None, None] * np.eye(3)
-    tau = np.asarray(mu)[..., None, None] * tau
-    return np.einsum("...ij,...j->...i", tau, nhat)
+    lead = np.broadcast_shapes(np.shape(grad_v)[:-2], np.shape(mu),
+                               np.shape(nhat)[:-1])
+    tau_n = _shear_rows(layout.rows(grad_v, lead, axes=2),
+                        np.asarray(mu, dtype=float), layout.rows(nhat, lead))
+    return _stack(tau_n, lead)
 
 
 def viscous_normal_flux(grad_v, grad_t, v_face, mu, nhat):
@@ -86,30 +117,40 @@ def viscous_normal_flux(grad_v, grad_t, v_face, mu, nhat):
 
     q_n = -(mu / (Pr (gamma - 1))) grad T . nhat.  Returns (..., 5).
     """
-    tau_n = shear_stress_normal(grad_v, mu, nhat)
-    q_n = -np.asarray(mu) / (PRANDTL * (GAMMA - 1.0)) * \
-        np.einsum("...d,...d->...", np.asarray(grad_t, dtype=float), nhat)
-    flux = np.zeros(tau_n.shape[:-1] + (5,))
-    flux[..., 1:4] = -tau_n
-    flux[..., 4] = -np.einsum("...d,...d->...", tau_n, np.asarray(v_face,
-                                                                  dtype=float)) + q_n
-    return flux
+    lead = np.broadcast_shapes(np.shape(grad_v)[:-2], np.shape(grad_t)[:-1],
+                               np.shape(v_face)[:-1], np.shape(mu),
+                               np.shape(nhat)[:-1])
+    mu = np.asarray(mu, dtype=float)
+    n = layout.rows(nhat, lead)
+    tau_n = _shear_rows(layout.rows(grad_v, lead, axes=2), mu, n)
+    q_n = -mu / (PRANDTL * (GAMMA - 1.0)) * \
+        _dot(layout.rows(grad_t, lead), n)
+    work = _dot(tau_n, layout.rows(v_face, lead))
+    return _stack((0.0, *(-tau_n), q_n - work), lead)
+
+
+def _inviscid_rows(rho, vel, p, h_tot, n):
+    """Projected inviscid flux rows: rho vn, rho vn v + p n (3 rows) and
+    rho vn H."""
+    mass = rho * _dot(vel, n)
+    return mass, mass * vel + p * n, mass * h_tot
+
+
+def _primitive(w):
+    """rho, velocity (3, ...), p and total enthalpy H of primitive rows w.
+
+    With c^2 = T, H = T / (gamma - 1) + |v|^2 / 2.
+    """
+    rho, vel, t = w[0], w[1:4], w[4]
+    return rho, vel, rho * t / GAMMA, t / (GAMMA - 1.0) + 0.5 * _dot(vel, vel)
 
 
 def inviscid_normal_flux(w: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     """Analytic projected inviscid flux (rho vn, rho vn v + p n, vn (rho E + p))."""
-    g = GAMMA
-    rho = w[..., 0]
-    vel = w[..., 1:4]
-    p = pressure(w)
-    vn = np.einsum("...d,...d->...", vel, nhat)
-    q2 = np.sum(vel ** 2, axis=-1)
-    h_tot = w[..., 4] / (g - 1.0) + 0.5 * q2  # total enthalpy, c^2 = T
-    flux = np.empty(w.shape)
-    flux[..., 0] = rho * vn
-    flux[..., 1:4] = (rho * vn)[..., None] * vel + p[..., None] * nhat
-    flux[..., 4] = rho * vn * h_tot
-    return flux
+    lead = np.broadcast_shapes(np.shape(w)[:-1], np.shape(nhat)[:-1])
+    mass, mom, energy = _inviscid_rows(*_primitive(layout.rows(w, lead)),
+                                       layout.rows(nhat, lead))
+    return _stack((mass, *mom, energy), lead)
 
 
 def _entropy_fix(lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -126,67 +167,58 @@ def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     to the acoustic eigenvalues.  Consistent: roe_flux(w, w, n) equals the
     analytic projected flux of w.
     """
-    w_l = np.asarray(w_l, dtype=float)
-    w_r = np.asarray(w_r, dtype=float)
-    if np.any(w_l[..., 0] <= 0) or np.any(w_l[..., 4] <= 0) or \
-       np.any(w_r[..., 0] <= 0) or np.any(w_r[..., 4] <= 0):
+    lead = np.broadcast_shapes(np.shape(w_l)[:-1], np.shape(w_r)[:-1],
+                               np.shape(nhat)[:-1])
+    w_l, w_r = layout.rows(w_l, lead), layout.rows(w_r, lead)
+    n = layout.rows(nhat, lead)
+    if np.any(w_l[0] <= 0) or np.any(w_l[4] <= 0) or \
+       np.any(w_r[0] <= 0) or np.any(w_r[4] <= 0):
         raise InvalidStateError("Roe flux requires positive density and temperature")
-    g = GAMMA
-
-    rho_l, rho_r = w_l[..., 0], w_r[..., 0]
-    vel_l, vel_r = w_l[..., 1:4], w_r[..., 1:4]
-    p_l, p_r = pressure(w_l), pressure(w_r)
-    h_l = w_l[..., 4] / (g - 1.0) + 0.5 * np.sum(vel_l ** 2, axis=-1)
-    h_r = w_r[..., 4] / (g - 1.0) + 0.5 * np.sum(vel_r ** 2, axis=-1)
+    rho_l, vel_l, p_l, h_l = _primitive(w_l)
+    rho_r, vel_r, p_r, h_r = _primitive(w_r)
 
     # Roe averages
     rt = np.sqrt(rho_r / rho_l)
     rho_a = rt * rho_l
-    vel_a = (vel_l + rt[..., None] * vel_r) / (1.0 + rt)[..., None]
+    vel_a = (vel_l + rt * vel_r) / (1.0 + rt)
     h_a = (h_l + rt * h_r) / (1.0 + rt)
-    q2_a = np.sum(vel_a ** 2, axis=-1)
-    c2_a = (g - 1.0) * (h_a - 0.5 * q2_a)
+    q2_a = _dot(vel_a, vel_a)
+    c2_a = (GAMMA - 1.0) * (h_a - 0.5 * q2_a)
     if np.any(c2_a <= 0.0):
         raise InvalidStateError("negative Roe-averaged sound speed")
     c_a = np.sqrt(c2_a)
-    vn_a = np.einsum("...d,...d->...", vel_a, nhat)
+    vn_a = _dot(vel_a, n)
 
     d_rho = rho_r - rho_l
     d_p = p_r - p_l
     d_vel = vel_r - vel_l
-    d_vn = np.einsum("...d,...d->...", d_vel, nhat)
+    d_vn = _dot(d_vel, n)
 
-    # wave strengths
-    a1 = (d_p - rho_a * c_a * d_vn) / (2.0 * c2_a)
-    a2 = d_rho - d_p / c2_a
-    a3 = (d_p + rho_a * c_a * d_vn) / (2.0 * c2_a)
-
+    # wave strengths times the wave speeds: acoustic vn - c, entropy,
+    # acoustic vn + c and the combined shear waves
     delta = ENTROPY_FIX_COEFF * c_a
-    l1 = _entropy_fix(vn_a - c_a, delta)
-    l2 = np.abs(vn_a)
-    l3 = _entropy_fix(vn_a + c_a, delta)
+    s1 = _entropy_fix(vn_a - c_a, delta) * \
+        (d_p - rho_a * c_a * d_vn) / (2.0 * c2_a)
+    s2 = np.abs(vn_a) * (d_rho - d_p / c2_a)
+    s3 = _entropy_fix(vn_a + c_a, delta) * \
+        (d_p + rho_a * c_a * d_vn) / (2.0 * c2_a)
+    s4 = np.abs(vn_a) * rho_a
+    shear = d_vel - d_vn * n
 
-    diss = np.zeros(w_l.shape)
-    # acoustic wave vn - c
-    diss[..., 0] += l1 * a1
-    diss[..., 1:4] += (l1 * a1)[..., None] * (vel_a - c_a[..., None] * nhat)
-    diss[..., 4] += l1 * a1 * (h_a - c_a * vn_a)
-    # entropy wave
-    diss[..., 0] += l2 * a2
-    diss[..., 1:4] += (l2 * a2)[..., None] * vel_a
-    diss[..., 4] += l2 * a2 * 0.5 * q2_a
-    # acoustic wave vn + c
-    diss[..., 0] += l3 * a3
-    diss[..., 1:4] += (l3 * a3)[..., None] * (vel_a + c_a[..., None] * nhat)
-    diss[..., 4] += l3 * a3 * (h_a + c_a * vn_a)
-    # combined shear waves
-    shear = d_vel - d_vn[..., None] * nhat
-    diss[..., 1:4] += (l2 * rho_a)[..., None] * shear
-    diss[..., 4] += l2 * rho_a * np.einsum("...d,...d->...", vel_a, shear)
+    # dissipation: the right eigenvectors (1, v - c n, H - c vn),
+    # (1, v, |v|^2 / 2), (1, v + c n, H + c vn) and (0, shear, v . shear)
+    # weighted by s1 ... s4
+    d_mass = s1 + s2 + s3
+    d_mom = d_mass * vel_a + (s3 - s1) * c_a * n + s4 * shear
+    d_energy = (s1 * (h_a - c_a * vn_a) + s2 * 0.5 * q2_a
+                + s3 * (h_a + c_a * vn_a) + s4 * _dot(vel_a, shear))
 
-    f_l = inviscid_normal_flux(w_l, nhat)
-    f_r = inviscid_normal_flux(w_r, nhat)
-    return 0.5 * (f_l + f_r) - 0.5 * diss
+    f_l = _inviscid_rows(rho_l, vel_l, p_l, h_l, n)
+    f_r = _inviscid_rows(rho_r, vel_r, p_r, h_r, n)
+    mass = 0.5 * (f_l[0] + f_r[0] - d_mass)
+    mom = 0.5 * (f_l[1] + f_r[1] - d_mom)
+    energy = 0.5 * (f_l[2] + f_r[2] - d_energy)
+    return _stack((mass, *mom, energy), lead)
 
 
 def inviscid_flux_jacobian(w: np.ndarray, nhat: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import layout
 from .mesh import Grid1D, Mesh3D
 
 ALPHA = 4.0 / 3.0  # face-gradient damping coefficient
@@ -195,11 +196,19 @@ def reconstruct_lr(state_j, grad_j, state_k, grad_k, off_j, off_k):
     """Linear one-sided extrapolations of both cell states to the face centroid.
 
     state: (..., m); grad: (..., m, d); off: (..., d), the face centroid
-    minus the cell centroid.  Returns (w_L, w_R).
+    minus the cell centroid.  Returns (w_L, w_R), computed on per-variable
+    rows (``fvvisc.layout``).
     """
-    w_l = state_j + np.einsum("...md,...d->...m", np.asarray(grad_j), off_j)
-    w_r = state_k + np.einsum("...md,...d->...m", np.asarray(grad_k), off_k)
-    return w_l, w_r
+    lead = np.broadcast_shapes(
+        *(np.shape(a)[:-1] for a in (state_j, state_k, off_j, off_k)),
+        *(np.shape(g)[:-2] for g in (grad_j, grad_k)))
+
+    def extrapolate(state, grad, off):
+        g, x = layout.rows(grad, lead, axes=2), layout.rows(off, lead)
+        return layout.variables_last(layout.rows(state, lead) + sum(
+            g[:, d] * x[d] for d in range(g.shape[1])))
+    return extrapolate(state_j, grad_j, off_j), \
+        extrapolate(state_k, grad_k, off_k)
 
 
 def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, dn, nhat):
@@ -207,16 +216,20 @@ def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, dn, nhat):
 
     grad: (..., m, d); w: (..., m); nhat: (..., d) unit normal; dn: (...,)
     the centroid distance (x_k - x_j) . nhat.  The damping scale is
-    ALPHA / |dn|.
+    ALPHA / |dn|.  Computed on per-variable rows (``fvvisc.layout``).
     """
     if np.any(dn == 0.0):
         raise DegenerateGeometryError(
             "face with (x_k - x_j) orthogonal to the face normal")
-    avg = 0.5 * (np.asarray(grad_j) + np.asarray(grad_k))
-    jump = np.asarray(w_r) - np.asarray(w_l)
-    damp = (ALPHA / np.abs(dn))[..., None, None] * \
-        jump[..., :, None] * np.asarray(nhat)[..., None, :]
-    return avg + damp
+    lead = np.broadcast_shapes(
+        *(np.shape(g)[:-2] for g in (grad_j, grad_k)),
+        *(np.shape(a)[:-1] for a in (w_l, w_r, nhat)), np.shape(dn))
+    avg = 0.5 * (layout.rows(grad_j, lead, axes=2)
+                 + layout.rows(grad_k, lead, axes=2))
+    jump = (ALPHA / np.abs(dn)) * (layout.rows(w_r, lead)
+                                   - layout.rows(w_l, lead))
+    return layout.variables_last(
+        avg + jump[:, None] * layout.rows(nhat, lead), axes=2)
 
 
 def face_derivative_1d(gx_j, gx_k, u_l, u_r, dx_cells):

@@ -483,9 +483,7 @@ def _jacobian_ns3d(problem, w, cfl):
     blocks = [blk_o[rows_ok], blk_k[rows_ok], -blk_o[rows_ko], -blk_k[rows_ko]]
 
     # pseudo-time diagonal: V/dt = sum(lambda * area) / cfl per cell
-    lam_sum = np.zeros(nc)
-    np.add.at(lam_sum, o, lam * area)
-    np.add.at(lam_sum, k, lam * area)
+    lam_sum = abs(problem.f_incidence) @ lam
     diag = np.zeros((nc, 5, 5))
     diag[unpinned] = (lam_sum[unpinned, None, None] / cfl) * eye
     diag[problem.pinned] = eye

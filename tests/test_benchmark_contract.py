@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from fvvisc import diffusion1d, mesh, ns3d, recon, solver, verify
+from fvvisc import diffusion1d, mesh, ns3d, physics, recon, solver, verify
 from fvvisc.recon import Strategy
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
@@ -79,3 +79,29 @@ def test_injected_failure_calls():
     exc = solver.NonConvergenceError("injected", solver.IterationHistory())
     assert exc.history.iterations == []
     assert issubclass(solver.SolverDivergenceError, Exception)
+
+
+#: The kernels one 3D residual reaches through module attributes; the
+#: tracer times each under its own span (``recon.gradient_s``,
+#: ``physics.roe_s``, ...).
+RESIDUAL_KERNELS = (
+    (recon, "lsq_gradient_3d"), (recon, "reconstruct_lr"),
+    (recon, "alpha_damped_face_gradient"), (recon, "face_scalar"),
+    (physics, "roe_flux"), (physics, "viscous_normal_flux"))
+
+
+def test_residual_reaches_each_traced_kernel_once(monkeypatch):
+    # a kernel inlined into the residual would leave its traced per-layer
+    # metric reading 0 while every numerical test still passes
+    calls = {}
+    for module, name in RESIDUAL_KERNELS:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    m = mesh.generate_tet_mesh(3, perturbation=0.1, seed=3)
+    problem = ns3d.NS3DProblem(m, Strategy.from_name("arithmetic"))
+    ns3d.residual_ns3d(problem, problem.exact)
+    assert calls == {name: 1 for _, name in RESIDUAL_KERNELS}
