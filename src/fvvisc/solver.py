@@ -21,8 +21,8 @@ takes Newton steps whose direction GMRES finds from a Jacobian-free
 (finite-difference directional derivative) product of the second-order
 residual, left-preconditioned by multicolor block Gauss-Seidel on 5x5 cell
 blocks of a first-order Jacobian (first-order upwind inviscid flux Jacobian
-plus thin-layer viscous blocks).  The residual target is still set by the
-free-stream state.
+plus thin-layer viscous blocks), assembled straight into 5x5 BSR blocks.
+The residual target is still set by the free-stream state.
 """
 
 from __future__ import annotations
@@ -129,12 +129,14 @@ class _LinearSolver:
 
     sweeps <= 0: direct sparse LU.  sweeps > 0: that many multicolor block
     Gauss-Seidel sweeps on 5x5 cell blocks (the order must be a multiple of
-    5).  The cells are colored greedily on the symmetrized block pattern, so
-    no two cells of one color are coupled either way (pinned cells have
-    identity rows but appear in their neighbors' rows), and the unknowns
-    are renumbered color by color.  With the diagonal blocks D inverted once
-    and T = D^-1 (A - D), a sweep updates each color's rows in turn as
-    x_r = D^-1 b_r - T_r x: one sparse matvec per color, no fill-in.
+    5), read through ``tobsr``: the 3D Jacobian is already 5x5 BSR and
+    passes through unchanged.  The cells are colored greedily on the
+    symmetrized block pattern, so no two cells of one color are coupled
+    either way (pinned cells have identity rows but appear in their
+    neighbors' rows), and the unknowns are renumbered color by color.
+    With the diagonal blocks D inverted once and T = D^-1 (A - D), a sweep
+    updates each color's rows in turn as x_r = D^-1 b_r - T_r x: one sparse
+    matvec per color, no fill-in.
     """
 
     def __init__(self, mat, sweeps: int):
@@ -304,7 +306,7 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
         history.append(it, norms, cfl)
         cfl = min(cfl * 2.0, _CFL_MAX)
         u, res, norms = u_new, res_new, norms_new
-    history.append(cfg.max_iterations, norms, built[0])
+    history.append(cfg.max_iterations, norms, cfl)
     raise NonConvergenceError(
         f"residual drop of {cfg.target_drop} orders not reached in "
         f"{cfg.max_iterations} iterations", history)
@@ -433,7 +435,7 @@ def _prim_from_cons_jacobian(w):
 
 
 def _jacobian_ns3d(problem, w, cfl):
-    """First-order Jacobian in conservative variables.
+    """First-order Jacobian in conservative variables, as 5x5 BSR blocks.
 
     Inviscid part: 0.5 (Fn(U_o) + Fn(U_k)) - 0.5 lambda_c (U_k - U_o) with
     lambda_c = |vn| + c.  Viscous part: thin-layer normal-diffusion blocks
@@ -443,8 +445,8 @@ def _jacobian_ns3d(problem, w, cfl):
     momentum, tau.v work and heat-conduction rows with the scale
     ALPHA mu_f / |d_n| (d_n = ``problem.f_dn``), the coefficient of the
     difference term in the damped face gradient.  The pseudo-time diagonal
-    adds a viscous spectral radius on the centroid distance.  Pinned rows
-    are identity.
+    adds a viscous spectral radius on the centroid distance.  A pinned row
+    holds only an identity diagonal block.
     """
     mesh = problem.mesh
     nc = mesh.n_cells
@@ -465,41 +467,36 @@ def _jacobian_ns3d(problem, w, cfl):
         c[:, 1 + i, 1 + i] = (4.0 / 3.0) * coef
         c[:, 4, 1 + i] = (4.0 / 3.0) * coef * wf[:, 1 + i]
     c[:, 4, 4] = coef / (physics.PRANDTL * (physics.GAMMA - 1.0))
-    visc = area[:, None, None] * np.einsum("fij,fjk->fik", c,
-                                           _prim_from_cons_jacobian(wf))
+    visc = c @ _prim_from_cons_jacobian(wf)
 
+    # per-unit-area face blocks: d(flux)/d(U_o) and d(flux)/d(U_k)
     eye = np.eye(5)
     a_o = physics.inviscid_flux_jacobian(w[o], problem.f_nhat)
     a_k = physics.inviscid_flux_jacobian(w[k], problem.f_nhat)
-    blk_o = 0.5 * area[:, None, None] * (a_o + lam_c[:, None, None] * eye) + visc
-    blk_k = 0.5 * area[:, None, None] * (a_k - lam_c[:, None, None] * eye) - visc
+    b_o = 0.5 * (a_o + lam_c[:, None, None] * eye) + visc
+    b_k = 0.5 * (a_k - lam_c[:, None, None] * eye) - visc
 
-    unpinned = ~problem.pinned
-    rows_ok = unpinned[o]
-    rows_ko = unpinned[k]
-
-    block_rows = [o[rows_ok], o[rows_ok], k[rows_ko], k[rows_ko]]
-    block_cols = [o[rows_ok], k[rows_ok], o[rows_ko], k[rows_ko]]
-    blocks = [blk_o[rows_ok], blk_k[rows_ok], -blk_o[rows_ko], -blk_k[rows_ko]]
-
-    # pseudo-time diagonal: V/dt = sum(lambda * area) / cfl per cell
-    lam_sum = abs(problem.f_incidence) @ lam
-    diag = np.zeros((nc, 5, 5))
-    diag[unpinned] = (lam_sum[unpinned, None, None] / cfl) * eye
+    # diagonal: area b_o summed over owned faces minus area b_k over
+    # neighbored ones (inc is +-area), plus V/dt = sum(lambda area) / cfl
+    inc = problem.f_incidence
+    pseudo = (lam / cfl)[:, None, None] * eye
+    diag = (inc @ (0.5 * (b_o + b_k)).reshape(-1, 25) + abs(inc)
+            @ (0.5 * (b_o - b_k) + pseudo).reshape(-1, 25)).reshape(-1, 5, 5)
     diag[problem.pinned] = eye
-    block_rows.append(np.arange(nc))
-    block_cols.append(np.arange(nc))
-    blocks.append(diag)
 
-    br = np.concatenate(block_rows)
-    bc = np.concatenate(block_cols)
-    bd = np.concatenate(blocks)
-    ridx = (5 * br[:, None, None] + np.arange(5)[None, :, None])
-    cidx = (5 * bc[:, None, None] + np.arange(5)[None, None, :])
-    ridx = np.broadcast_to(ridx, bd.shape).ravel()
-    cidx = np.broadcast_to(cidx, bd.shape).ravel()
-    return sp.coo_matrix((bd.ravel(), (ridx, cidx)),
-                         shape=(5 * nc, 5 * nc)).tocsr()
+    # off-diagonal blocks of unpinned rows, (o, k) = area b_k and
+    # (k, o) = -area b_o, sorted with the diagonal into block-row order
+    unpinned = ~problem.pinned
+    on_o, on_k = unpinned[o], unpinned[k]
+    cells = np.arange(nc)
+    rows = np.concatenate((o[on_o], k[on_k], cells))
+    cols = np.concatenate((k[on_o], o[on_k], cells))
+    blocks = np.concatenate((area[on_o, None, None] * b_k[on_o],
+                             -area[on_k, None, None] * b_o[on_k], diag))
+    order = np.argsort(rows * nc + cols)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nc))))
+    return sp.bsr_matrix((blocks[order], cols[order], indptr),
+                         shape=(5 * nc, 5 * nc))
 
 
 def _pinned_prim(problem, u):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import root
 
-from fvvisc import diffusion1d, mesh, ns3d, physics, solver, verify
+from fvvisc import diffusion1d, mesh, ns3d, physics, recon, solver, verify
 from fvvisc.recon import Strategy
 
 
@@ -76,6 +76,22 @@ class TestDiffusion1DSolve:
         capped, _ = solver.solve_diffusion_1d(
             p, dataclasses.replace(cfg, max_iterations=steps))
         assert np.array_equal(capped, u)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_capped_history_is_a_prefix_of_the_uncapped_one(self, cap):
+        # the last row of either exit records the CFL the next step would
+        # start from, not the CFL of the last factorization
+        p = make_1d(n=7, seed=3)
+        _, full = solver.solve_diffusion_1d(p)
+        with pytest.raises(solver.NonConvergenceError) as exc:
+            solver.solve_diffusion_1d(
+                p, solver.SolverConfig(max_iterations=cap))
+        capped = exc.value.history.iterations
+        assert len(capped) == cap + 1
+        for (it, norms, cfl), (it_ref, norms_ref, cfl_ref) in zip(
+                capped, full.iterations[:cap + 1], strict=True):
+            assert it == it_ref and cfl == cfl_ref
+            assert np.array_equal(norms, norms_ref)
 
     def test_deterministic(self):
         cfg = solver.SolverConfig(target_drop=8.0)
@@ -319,7 +335,7 @@ class TestThinLayerJacobian:
         assert jac.shape == (5 * nc, 5 * nc)
         pinned_cells = np.flatnonzero(p.pinned)
         for c in pinned_cells[:3]:
-            row = jac[5 * c].toarray().ravel()
+            row = jac.tocsr()[5 * c].toarray().ravel()
             expect = np.zeros(5 * nc)
             expect[5 * c] = 1.0
             assert np.array_equal(row, expect)
@@ -336,3 +352,101 @@ class TestThinLayerJacobian:
             fd = (physics.cons_to_prim(u0 + du)
                   - physics.cons_to_prim(u0 - du))[0] / (2 * eps)
             assert np.abs(m[:, col] - fd).max() < 1e-6
+
+
+def coo_jacobian_ns3d(problem, w, cfl):
+    """The scalar COO assembly of ``solver._jacobian_ns3d`` that preceded
+    the block assembly, kept as an oracle: 25 scalar triples per block,
+    converted to CSR."""
+    mesh = problem.mesh
+    nc = mesh.n_cells
+    o, k = problem.f_owner, problem.f_neighbor
+    area = problem.f_area
+    wf = 0.5 * (w[o] + w[k])
+    lam_c = np.abs(np.einsum("fd,fd->f", wf[:, 1:4], problem.f_nhat)) + \
+        np.sqrt(wf[:, 4])
+    mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
+    d = np.linalg.norm(mesh.cell_centroid[k] - mesh.cell_centroid[o], axis=1)
+    lam = lam_c + 2.0 * mu / (wf[:, 0] * d) * max(
+        4.0 / 3.0, physics.GAMMA / physics.PRANDTL)
+
+    coef = recon.ALPHA * mu / np.abs(problem.f_dn)
+    c = np.zeros((len(o), 5, 5))
+    for i in range(3):
+        c[:, 1 + i, 1 + i] = (4.0 / 3.0) * coef
+        c[:, 4, 1 + i] = (4.0 / 3.0) * coef * wf[:, 1 + i]
+    c[:, 4, 4] = coef / (physics.PRANDTL * (physics.GAMMA - 1.0))
+    visc = area[:, None, None] * np.einsum(
+        "fij,fjk->fik", c, solver._prim_from_cons_jacobian(wf))
+
+    eye = np.eye(5)
+    a_o = physics.inviscid_flux_jacobian(w[o], problem.f_nhat)
+    a_k = physics.inviscid_flux_jacobian(w[k], problem.f_nhat)
+    blk_o = 0.5 * area[:, None, None] * (a_o + lam_c[:, None, None] * eye) \
+        + visc
+    blk_k = 0.5 * area[:, None, None] * (a_k - lam_c[:, None, None] * eye) \
+        - visc
+
+    unpinned = ~problem.pinned
+    rows_ok = unpinned[o]
+    rows_ko = unpinned[k]
+    block_rows = [o[rows_ok], o[rows_ok], k[rows_ko], k[rows_ko]]
+    block_cols = [o[rows_ok], k[rows_ok], o[rows_ko], k[rows_ko]]
+    blocks = [blk_o[rows_ok], blk_k[rows_ok], -blk_o[rows_ko], -blk_k[rows_ko]]
+
+    lam_sum = abs(problem.f_incidence) @ lam
+    diag = np.zeros((nc, 5, 5))
+    diag[unpinned] = (lam_sum[unpinned, None, None] / cfl) * eye
+    diag[problem.pinned] = eye
+    block_rows.append(np.arange(nc))
+    block_cols.append(np.arange(nc))
+    blocks.append(diag)
+
+    br = np.concatenate(block_rows)
+    bc = np.concatenate(block_cols)
+    bd = np.concatenate(blocks)
+    ridx = (5 * br[:, None, None] + np.arange(5)[None, :, None])
+    cidx = (5 * bc[:, None, None] + np.arange(5)[None, None, :])
+    ridx = np.broadcast_to(ridx, bd.shape).ravel()
+    cidx = np.broadcast_to(cidx, bd.shape).ravel()
+    return sp.coo_matrix((bd.ravel(), (ridx, cidx)),
+                         shape=(5 * nc, 5 * nc)).tocsr()
+
+
+class TestBlockJacobian3D:
+    """``_jacobian_ns3d`` assembles 5x5 BSR blocks directly; the scalar COO
+    assembly above is the oracle.  The sums are regrouped, so the data
+    agree to a tolerance, while the block pattern (and with it the
+    Gauss-Seidel coloring) must be identical."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("strategy", ["arithmetic", "lr-average",
+                                          "inverse-distance"])
+    @pytest.mark.parametrize("cfl", [10.0, 1e8])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_matches_the_coo_assembly(self, n, strategy, cfl, perturbed):
+        p = ns3d_problem(n, seed=n, strategy=strategy)
+        w = p.exact.copy()
+        if perturbed:
+            rng = np.random.default_rng(n)
+            free = ~p.pinned
+            w[free] *= 1.0 + 0.05 * rng.standard_normal(w[free].shape)
+        got = solver._jacobian_ns3d(p, w, cfl)
+        ref = coo_jacobian_ns3d(p, w, cfl).tobsr(blocksize=(5, 5))
+
+        assert got.format == "bsr" and got.blocksize == (5, 5)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        scale = np.abs(ref.data).max()
+        assert np.abs(got.data - ref.data).max() <= 1e-13 * scale
+
+        for c in np.flatnonzero(p.pinned):
+            start, end = got.indptr[c], got.indptr[c + 1]
+            assert got.indices[start:end].tolist() == [c]
+            assert np.array_equal(got.data[start], np.eye(5))
+
+        lin, lin_ref = (solver._LinearSolver(m, 30) for m in (got, ref))
+        assert np.array_equal(lin._order, lin_ref._order)
+        assert [c[:2] for c in lin._colors] == \
+            [c[:2] for c in lin_ref._colors]
