@@ -167,11 +167,6 @@ def write_effective_config(cfg: dict, path: str) -> None:
             f.write(f"{key} = {_format_value(key, cfg[key])}\n")
 
 
-def _perturbation(cfg: dict) -> float:
-    """Node-perturbation amplitude of a run: 0 on regular grids."""
-    return 0.0 if cfg["regular"] else cfg["perturbation"]
-
-
 # ---------------------------------------------------------------------------
 # Model problems
 # ---------------------------------------------------------------------------
@@ -192,7 +187,7 @@ class Problem:
 
 def _build_1d(cfg, strategy):
     grid = mesh.generate_grid_1d(cfg["grids"][0],
-                                 perturbation=_perturbation(cfg),
+                                 perturbation=cfg["perturbation"],
                                  seed=cfg["seed"])
     return (diffusion1d.Diffusion1DProblem(grid, strategy),
             diffusion1d.exact_solution(grid.cell_centers), grid.cell_volumes)
@@ -200,7 +195,7 @@ def _build_1d(cfg, strategy):
 
 def _build_3d(cfg, strategy):
     m = mesh.generate_tet_mesh(cfg["grids"][0],
-                               perturbation=_perturbation(cfg),
+                               perturbation=cfg["perturbation"],
                                seed=cfg["seed"])
     problem = ns3d.NS3DProblem(m, strategy)
     return problem, problem.exact, m.cell_volume
@@ -306,7 +301,7 @@ def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
     if grids[0] < entry.min_size:
         raise ConfigError(f"grid size {grids[0]} is below the minimum "
                           f"{entry.min_size} for {cfg['problem']}")
-    if not 0.0 <= _perturbation(cfg) < mesh.MAX_PERTURBATION:
+    if not 0.0 <= cfg["perturbation"] < mesh.MAX_PERTURBATION:
         raise ConfigError(f"perturbation must be in "
                           f"[0, {mesh.MAX_PERTURBATION:g}), "
                           f"got {cfg['perturbation']!r}")
@@ -326,11 +321,14 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     override the problem's defaults (OMEGA_STRATEGIES, SOLVE_DEFAULTS);
     ``single`` allows one grid size and one strategy only.  A layered
     ``problem`` other than the one that runs is rejected, so the effective
-    config never records a problem it did not run."""
+    config never records a problem it did not run, and a regular run
+    records the perturbation it uses, 0."""
     entry = PROBLEMS[problem]
     cfg = build_config(_cli_overrides(args), args.config,
                        {"problem": problem, **entry.defaults,
                         **run_defaults})
+    if cfg["regular"]:
+        cfg["perturbation"] = 0.0
     if cfg["problem"] != problem:
         raise ConfigError(f"problem = {cfg['problem']} is set, but this "
                           f"command runs {problem}")
@@ -356,7 +354,7 @@ def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
     cfg, strategies, solver_cfg = _prepare(
         args, problem, {"strategies": OMEGA_STRATEGIES} if omega_sweep else {})
     records = entry.study(
-        strategies, sizes=cfg["grids"], perturbation=_perturbation(cfg),
+        strategies, sizes=cfg["grids"], perturbation=cfg["perturbation"],
         seed=cfg["seed"], solver_cfg=solver_cfg,
         volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"])
     variable = entry.var_names[0]

@@ -11,9 +11,13 @@ pseudo-time term whose CFL grows geometrically on accepted steps: the
 residual stencil is 5 cells wide (the central-difference gradients of
 ``recon.gradient_1d`` reach one cell past each face neighbor), so 5
 perturbed states fill the pentadiagonal band, bit-identical to perturbing
-one column at a time.  Each build is one stacked residual evaluation of the
-base and perturbed states, written straight into a CSC matrix, and each
-banded system is solved by sparse LU (SuperLU).
+one column at a time.  Each state the solve tries is evaluated once,
+stacked with its 5 perturbed states: row 0 is the trial residual, and a
+Jacobian built at that state (after every accepted step) reuses the whole
+stack, so a build evaluates the residual itself only when it is rebuilt at
+an older state after a rejected step.  The builds of one solve write one
+CSC matrix in place, and each banded system is solved by sparse LU
+(SuperLU).
 
 3D: inexact Newton-Krylov from the manufactured solution.  The MMS problem
 is nearly linear around ``problem.exact``, so the solve starts there and
@@ -323,14 +327,28 @@ _HALF_BAND_1D = 2
 _COLORS_1D = 2 * _HALF_BAND_1D + 1
 
 
+@dataclass(frozen=True)
+class _Band1D:
+    """Index arrays of the n x n band |i - j| <= 2 (read-only), in major
+    order.  The band is symmetric, so major/minor/indptr are its CSR arrays
+    with row major and its CSC arrays with column major.
+
+    ``colored`` is the position of entry (minor i, major j) in the
+    (colors, n) array of colored differences, (j mod 5) n + i; ``diag`` the
+    position of each cell's diagonal entry; ``scatter`` the flat position
+    of each cell's perturbation in the (colors, n) array, (j mod 5) n + j.
+    """
+
+    major: np.ndarray
+    minor: np.ndarray
+    indptr: np.ndarray
+    colored: np.ndarray
+    diag: np.ndarray
+    scatter: np.ndarray
+
+
 @lru_cache(maxsize=None)
 def _band_pattern_1d(n):
-    """Major index, minor index, index pointer and color-major position of
-    every entry of the n x n band |i - j| <= 2, in major order (read-only
-    arrays).  The band is symmetric, so these are its CSR arrays with row
-    major and its CSC arrays with column major; the position of entry
-    (minor i, major j) in the (colors, n) array of colored differences is
-    (j mod 5) n + i."""
     offsets = np.arange(-_HALF_BAND_1D, _HALF_BAND_1D + 1)
     major = np.repeat(np.arange(n), _COLORS_1D)
     minor = major + np.tile(offsets, n)
@@ -338,25 +356,54 @@ def _band_pattern_1d(n):
     major, minor = major[keep], minor[keep]
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
-    pattern = (major, minor.astype(np.int32), indptr,
-               major % _COLORS_1D * n + minor)
-    for a in pattern:
+    cells = np.arange(n)
+    band = _Band1D(major, minor.astype(np.int32), indptr,
+                   major % _COLORS_1D * n + minor,
+                   np.flatnonzero(major == minor),
+                   cells % _COLORS_1D * n + cells)
+    for a in vars(band).values():
         a.setflags(write=False)
-    return pattern
+    return band
 
 
-def _jacobian_1d(problem, u, cfl):
+def _fd_step_1d(u):
+    """Difference step of each column, 1e-7 max(1, |u_j|)."""
+    return 1e-7 * np.maximum(1.0, np.abs(u))
+
+
+def _colored_states_1d(u):
+    """u stacked on its colored perturbations: row 0 is u, row 1 + c
+    perturbs columns c, c+5, c+10, ... by their difference steps (5 colors,
+    fewer when n < 5)."""
+    n = u.size
+    pert = np.zeros(min(_COLORS_1D, n) * n)
+    pert[_band_pattern_1d(n).scatter] = _fd_step_1d(u)
+    return np.concatenate((u[None], u + pert.reshape(-1, n)))
+
+
+def _jacobian_1d(problem, u, cfl, res=None, out=None):
     """Column-colored finite-difference Jacobian of the full nonlinear
     residual plus the pseudo-time diagonal, as a pentadiagonal CSC matrix.
 
     Columns c, c+5, c+10, ... are perturbed together: a residual row reads
     only u[i-2..i+2], so no row sees two columns of one color, and 5 colors
     (fewer when n < 5) recover every entry of the band.  The base state and
-    the perturbed states go through one stacked evaluation of the residual,
-    which is elementwise, so each entry is bit-identical to the per-column
-    difference with the same step 1e-7 max(1, |u_j|).  Numerically zero
-    entries are dropped, so the sparsity structure (which SuperLU's column
-    ordering sees) matches that of the dense matrix.
+    the perturbed states (``_colored_states_1d``) go through one stacked
+    evaluation of the residual, which is elementwise, so each entry is
+    bit-identical to the per-column difference with the same step
+    1e-7 max(1, |u_j|).  ``res`` is that stacked residual when the caller
+    has it already (the 1D solve evaluates every state it tries this way,
+    so a Jacobian at an accepted state costs no residual call); without it
+    the build evaluates it.  Numerically zero entries are dropped, so the
+    sparsity structure (which SuperLU's column ordering sees) matches that
+    of the dense matrix.
+
+    The result is a new matrix, or ``out`` (a CSC matrix of the same shape
+    from an earlier build) with its data, indices and index pointer
+    replaced: the arrays are canonical by construction, so a container
+    that SuperLU has checked once needs no check again, and a factor
+    already taken from it is unaffected, since SuperLU factors its own
+    copy.
 
     A frozen-viscosity Jacobian (pure defect correction) limit-cycles on the
     coarsest irregular grids, where the face viscosity varies by nearly two
@@ -364,42 +411,59 @@ def _jacobian_1d(problem, u, cfl):
     """
     grid = problem.grid
     n = grid.n_cells
-    col, row, indptr, colored = _band_pattern_1d(n)
-    step = 1e-7 * np.maximum(1.0, np.abs(u))
-    cells = np.arange(n)
-    pert = np.zeros((min(_COLORS_1D, n), n))
-    pert[cells % _COLORS_1D, cells] = step
-    res = diffusion1d.residual_1d(problem, np.concatenate((u[None], u + pert)))
-    data = (res[1:] - res[0]).ravel()[colored] / step[col]
+    band = _band_pattern_1d(n)
+    if res is None:
+        res = diffusion1d.residual_1d(problem, _colored_states_1d(u))
+    data = ((res[1:] - res[0]).ravel()[band.colored]
+            / _fd_step_1d(u)[band.major])
     # pseudo-time: dt = cfl h^2 / nu, floored so the diagonal never vanishes
-    # at the u = 0 degeneracy of nu = u^2
-    diag = row == col
-    nu_cell = np.maximum(u ** 2, 1e-3)
-    data[diag] += nu_cell / (cfl * grid.cell_volumes)
-    pinned = problem.pinned[row]
-    data[pinned] = 0.0
-    data[pinned & diag] = 1.0
+    # at the u = 0 degeneracy of nu = u^2.  Pinned rows of the residual are
+    # zero in every state, so their differences are zero already and only
+    # their diagonal is set.
+    data[band.diag] += np.maximum(u ** 2, 1e-3) / (cfl * grid.cell_volumes)
+    data[band.diag[problem.pinned]] = 1.0
     # drop zero entries as eliminate_zeros would; kept[k] counts the entries
     # kept before band position k, so kept[indptr] is the new index pointer
     nonzero = data != 0.0
     kept = np.zeros(data.size + 1, dtype=np.int32)
     np.cumsum(nonzero, out=kept[1:])
-    return sp.csc_matrix((data[nonzero], row[nonzero], kept[indptr]),
-                         shape=(n, n))
+    arrays = (data[nonzero], band.minor[nonzero], kept[band.indptr])
+    if out is None:
+        return sp.csc_matrix(arrays, shape=(n, n))
+    out.data, out.indices, out.indptr = arrays
+    return out
 
 
 def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
                        u0: np.ndarray | None = None):
-    """Drive the 1D problem to steady state; returns (u, history)."""
+    """Drive the 1D problem to steady state; returns (u, history).
+
+    The last state the loop evaluated is kept with its stacked residual
+    (``_colored_states_1d``), which a Jacobian built at that state reuses;
+    all builds of one solve share one CSC container.
+    """
     if cfg is None:
         cfg = SolverConfig()
     if u0 is None:
         u0 = problem.initial_state()
     u0 = diffusion1d.apply_boundary_closure(problem, u0)
     unpinned = ~problem.pinned
+    evaluated = (None, None)     # (last state evaluated, its stacked residual)
+    container = None
 
     def res_fn(u):
-        return diffusion1d.residual_1d(problem, u)
+        nonlocal evaluated
+        evaluated = (u, diffusion1d.residual_1d(problem,
+                                                _colored_states_1d(u)))
+        return evaluated[1][0]
+
+    def jac_fn(u, cfl):
+        nonlocal container
+        state, res = evaluated
+        container = _jacobian_1d(problem, u, cfl,
+                                 res=res if u is state else None,
+                                 out=container)
+        return container
 
     def norm_fn(res):
         return np.array([np.abs(res[unpinned]).mean()])
@@ -407,9 +471,8 @@ def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
     def update_fn(u, du):
         return diffusion1d.apply_boundary_closure(problem, u + du)
 
-    return solve_defect_correction(res_fn, lambda u, cfl:
-                                   _jacobian_1d(problem, u, cfl),
-                                   u0, norm_fn, update_fn, cfg)
+    return solve_defect_correction(res_fn, jac_fn, u0, norm_fn, update_fn,
+                                   cfg)
 
 
 # ---------------------------------------------------------------------------

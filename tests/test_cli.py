@@ -283,6 +283,23 @@ class TestMainExitCodes:
         tables = {p.name for p in tmp_path.glob("study-1d_*.csv")}
         assert tables == {"study-1d_arithmetic.csv", "study-1d_summary.csv"}
 
+    def test_regular_run_records_the_perturbation_it_uses(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        rc = cli.main(["study-1d-omega", "--regular", "--grids", "7,11",
+                       "--out-dir", str(first)])
+        assert rc == cli.EXIT_OK
+        cfg = (first / "effective_config.cfg").read_text().splitlines()
+        assert "regular = true" in cfg
+        assert "perturbation = 0.0" in cfg
+        rc = cli.main(["study-1d-omega", "--config",
+                       str(first / "effective_config.cfg"),
+                       "--out-dir", str(again)])
+        assert rc == cli.EXIT_OK
+        tables = sorted(p.name for p in first.glob("*.csv"))
+        assert len(tables) == 5
+        for name in tables:
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
     def test_order_band_violation_exits_4(self, tmp_path):
         # seed 1 is a known grid pair whose coarse pre-asymptotic order
         # (~3.0) sits far outside the 2.0 +/- 0.2 band

@@ -185,11 +185,97 @@ class TestColoredJacobian1D:
             def solve(self, rhs):
                 return self._lu.solve(rhs)
 
-        monkeypatch.setattr(solver, "_jacobian_1d", dense_jacobian_1d)
+        def per_column(problem, u, cfl, **ignored):
+            # the solve's stacked residual and CSC container go unused
+            return dense_jacobian_1d(problem, u, cfl)
+
+        monkeypatch.setattr(solver, "_jacobian_1d", per_column)
         monkeypatch.setattr(solver, "_LinearSolver", PerColumnSuperLU)
         ref = study()
         assert np.isfinite(ref).any()
         assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_every_study_build_matches_a_fresh_build(self, monkeypatch):
+        """Builds that reuse the solve's stacked residual and container,
+        and rebuilds after a rejected step, equal a fresh build at the same
+        state.  The family reaches n = 95 builds that drop a data-dependent
+        zero: 464 entries against the 465 of the band minus the pinned
+        rows' off-diagonal entries."""
+        original = solver._jacobian_1d
+        builds = []
+
+        def recorded(problem, u, cfl, **kwargs):
+            mat = original(problem, u, cfl, **kwargs)
+            builds.append((problem, u.copy(), cfl, kwargs["res"] is None,
+                           mat.data.copy(), mat.indices.copy(),
+                           mat.indptr.copy()))
+            return mat
+
+        monkeypatch.setattr(solver, "_jacobian_1d", recorded)
+        verify.run_study_1d(["one-sided-left"],
+                            sizes=(7, 11, 15, 19, 23, 31, 47, 63, 95),
+                            seed=9000)
+        monkeypatch.undo()
+        assert {own for _, _, _, own, *_ in builds} == {False, True}
+        dropped = 0
+        for problem, u, cfl, _, data, indices, indptr in builds:
+            fresh = solver._jacobian_1d(problem, u, cfl)
+            assert np.array_equal(fresh.data, data)
+            assert np.array_equal(fresh.indices, indices)
+            assert np.array_equal(fresh.indptr, indptr)
+            n = problem.grid.n_cells
+            dropped += n == 95 and data.size == (5 * n - 6 - 4) - 1
+        assert dropped >= 1
+
+    def test_container_keeps_earlier_factors(self):
+        p = make_1d(n=31, seed=2)
+        rhs = np.linspace(1.0, 2.0, 31)
+        first = perturbed_state(p, seed=1)
+        out = solver._jacobian_1d(p, first, 10.0)
+        lin = solver._LinearSolver(out, 0)
+        before = lin.solve(rhs)
+        second = perturbed_state(p, seed=2)
+        assert solver._jacobian_1d(p, second, 10.0, out=out) is out
+        assert np.array_equal(lin.solve(rhs), before)
+        fresh = solver._jacobian_1d(p, second, 10.0)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(out, attr), getattr(fresh, attr))
+        assert np.array_equal(solver._LinearSolver(out, 0).solve(rhs),
+                              solver._LinearSolver(fresh, 0).solve(rhs))
+
+    def test_without_a_container_every_build_is_new(self):
+        p = make_1d(n=7, seed=2)
+        u = perturbed_state(p, seed=2)
+        assert solver._jacobian_1d(p, u, 10.0) is not \
+            solver._jacobian_1d(p, u, 10.0)
+
+    @pytest.mark.parametrize("n,seed", [(3, 0), (4, 0), (7, 1), (11, 0)])
+    def test_one_stacked_residual_per_evaluated_state(self, monkeypatch, n,
+                                                      seed):
+        """A solve evaluates each state it tries once, stacked with its
+        colored perturbations, plus the start, plus one rebuild at the
+        older state after each rejected step."""
+        p = make_1d(n=n, strategy="one-sided-left", seed=seed)
+        shapes = []
+        attempts = 0
+        residual, solve = diffusion1d.residual_1d, solver._LinearSolver.solve
+
+        def counted(problem, u, *args, **kwargs):
+            shapes.append(np.shape(u))
+            return residual(problem, u, *args, **kwargs)
+
+        def counted_solve(self, rhs):
+            nonlocal attempts
+            attempts += 1
+            return solve(self, rhs)
+
+        monkeypatch.setattr(diffusion1d, "residual_1d", counted)
+        monkeypatch.setattr(solver._LinearSolver, "solve", counted_solve)
+        _, hist = solver.solve_diffusion_1d(p)
+        rejected = attempts - hist.iterations[-1][0]
+        assert rejected > 0
+        assert len(shapes) == 1 + attempts + rejected
+        assert set(shapes) == {(min(5, n) + 1, n)}
 
 
 class TestLinearSolver:
