@@ -8,8 +8,9 @@ written next to the output so any run can be reproduced from its
 artifacts.  The studies and ``solve`` read ``PROBLEMS``: per model problem,
 its config and solver defaults, smallest grid size, variables, order band,
 and how to run a study or build and solve one grid.
-Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 acceptance-band violation under --check-orders.
+Exit codes: 0 success, 1 a selftest check failed, 2 config error,
+3 solver non-convergence, 4 acceptance-band violation under
+--check-orders.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from . import diffusion1d, invariants, mesh, ns3d, recon, solver, verify
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_ORDER_BAND = 4
@@ -393,7 +395,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Solver-free invariant suite; prints pass/fail per check."""
+    """Solver-free invariant suite; prints pass/fail per check.
+
+    Runs every check even after a failure; exits 1 if any check failed.
+    """
     del args
     failures = 0
     for name, check in invariants.CHECKS:
@@ -403,7 +408,7 @@ def cmd_selftest(args) -> int:
         except AssertionError as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

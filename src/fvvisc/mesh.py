@@ -171,11 +171,27 @@ def generate_tet_mesh(n: int, perturbation: float = 0.2, seed: int = 0) -> Mesh3
 def build_mesh(vertices: np.ndarray, cells: np.ndarray) -> Mesh3D:
     """Compute cell/face geometry and adjacency from raw tet connectivity.
 
-    Tet volume is det(edge matrix)/6 with the stored orientation; a zero or
-    negative volume raises DegenerateMeshError naming the cell.
+    ``cells`` must be a (C, 4) integer array, C >= 1, of indices into the
+    (V, 3) ``vertices``; anything else raises MeshError.  Tet volume is
+    det(edge matrix)/6 with the stored orientation; a zero or negative
+    volume raises DegenerateMeshError naming the cell.  Faces are matched
+    by one stable lexicographic sort of their sorted vertex triples, so
+    faces come in ascending triple order, each owned by the first cell
+    that lists it; a triple shared by more than two cells raises MeshError.
     """
     vertices = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = np.asarray(cells)
+    if cells.ndim != 2 or cells.shape[0] == 0 or cells.shape[1] != 4:
+        raise MeshError(f"cells must be a (C, 4) array with C >= 1, "
+                        f"got shape {cells.shape}")
+    if not np.issubdtype(cells.dtype, np.integer):
+        raise MeshError(f"cells must hold integer vertex indices, "
+                        f"got dtype {cells.dtype}")
+    nv = vertices.shape[0]
+    if cells.min() < 0 or cells.max() >= nv:
+        raise MeshError(f"cell vertex indices must lie in [0, {nv}), "
+                        f"got [{cells.min()}, {cells.max()}]")
+    cells = cells.astype(np.int64, copy=False)
 
     p = vertices[cells]  # (C, 4, 3)
     edges = p[:, 1:, :] - p[:, :1, :]
@@ -190,17 +206,23 @@ def build_mesh(vertices: np.ndarray, cells: np.ndarray) -> Mesh3D:
     tri = cells[:, _TET_FACES]            # (C, 4, 3) oriented outward
     flat = tri.reshape(-1, 3)
     key = np.sort(flat, axis=1)
-    _, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                               return_counts=True)
+    # stable: the copies of one triple stay in cell order
+    order = np.lexsort(key.T[::-1])
+    sk = key[order]
+    start = np.flatnonzero(np.concatenate(
+        [[True], np.any(sk[1:] != sk[:-1], axis=1)]))
+    counts = np.diff(np.append(start, flat.shape[0]))
     if counts.max() > 2:
-        raise MeshError("non-manifold connectivity: a face is shared by >2 cells")
-    order = np.argsort(inv, kind="stable")
-    first = order[np.cumsum(counts) - counts]
+        worst = counts.argmax()
+        face = tuple(sk[start[worst]].tolist())
+        raise MeshError(f"non-manifold connectivity: face {face} "
+                        f"is shared by {counts[worst]} cells")
+    first = order[start]
     face_vertices = flat[first]
     face_owner = first // 4
     face_neighbor = np.full(counts.shape[0], -1, dtype=np.int64)
-    second = order[np.cumsum(counts)[counts == 2] - 1]
-    face_neighbor[counts == 2] = second // 4
+    shared = counts == 2
+    face_neighbor[shared] = order[start[shared] + 1] // 4
 
     fp = vertices[face_vertices]  # (F, 3, 3)
     face_centroid = fp.mean(axis=1)

@@ -20,8 +20,8 @@ from .mesh import Grid1D, Mesh3D
 
 ALPHA = 4.0 / 3.0  # face-gradient damping coefficient
 
-# An LSQ normal matrix is rank deficient when its smallest singular value
-# is below this fraction of its largest.
+# An LSQ normal matrix is rank deficient when its smallest eigenvalue is
+# below this fraction of its largest.
 _RANK_TOL = 1e-8
 
 STRATEGY_TAGS = ("lr-average", "arithmetic", "inverse-distance",
@@ -93,8 +93,8 @@ def _lsq_operator(mesh: Mesh3D):
 
     Stencil per cell: face-adjacent neighbors.  The neighbor lists come from
     the interior faces by a stable sort on cell index, every (C, 3, 3) normal
-    matrix is accumulated at once, one batched SVD applies the rank test and
-    one batched solve gives the weights of every full-rank cell.  The few
+    matrix is accumulated at once and rank-tested by ``_full_rank``, and one
+    batched solve gives the weights of every full-rank cell.  The few
     rank-deficient cells (possible only near boundaries on tet grids) are
     built one by one: their stencils are augmented with neighbors-of-neighbors,
     and SingularStencilError is raised if that does not give full rank.  The
@@ -124,8 +124,7 @@ def _lsq_operator(mesh: Mesh3D):
         for b in range(a, 3):
             g[:, a, b] = g[:, b, a] = np.bincount(
                 cell, dx[:, a] * dx[:, b], minlength=nc)
-    sv = np.linalg.svd(g, compute_uv=False)
-    full = sv[:, -1] > _RANK_TOL * sv[:, 0]
+    full = _full_rank(g)
 
     # one solve per full-rank cell against its zero-padded (3, kmax) stencil
     rhs = np.zeros((nc, 3, count.max(initial=0)))
@@ -152,6 +151,17 @@ def _lsq_operator(mesh: Mesh3D):
     return ops
 
 
+def _full_rank(g):
+    """Rank test of symmetric positive semidefinite (..., 3, 3) matrices.
+
+    Their eigenvalues are their singular values, so eigvalsh (ascending)
+    gives the SVD test at a fraction of its cost; a tiny negative roundoff
+    eigenvalue of a singular matrix counts as rank deficient.
+    """
+    ev = np.linalg.eigvalsh(g)
+    return ev[..., 0] > _RANK_TOL * ev[..., -1]
+
+
 def _augmented_stencil(xc, nbr, ptr, c):
     """Augmented stencil and (3, k) weights of a rank-deficient cell.
 
@@ -162,9 +172,7 @@ def _augmented_stencil(xc, nbr, ptr, c):
     stencil = nbr[ptr[c]:ptr[c + 1]].tolist()
     for _ in range(2):
         dx = xc[stencil] - xc[c]
-        g = dx.T @ dx
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] > _RANK_TOL * sv[0]:
+        if _full_rank(dx.T @ dx):
             break
         extra = sorted({m for j in stencil
                         for m in nbr[ptr[j]:ptr[j + 1]].tolist()}
@@ -174,8 +182,7 @@ def _augmented_stencil(xc, nbr, ptr, c):
         stencil = stencil + extra
     dx = xc[stencil] - xc[c]
     g = dx.T @ dx
-    sv = np.linalg.svd(g, compute_uv=False)
-    if len(stencil) < 3 or sv[-1] <= _RANK_TOL * sv[0]:
+    if len(stencil) < 3 or not _full_rank(g):
         raise SingularStencilError(
             f"cell {c}: least-squares stencil of size {len(stencil)} "
             "is rank deficient")

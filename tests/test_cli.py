@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from fvvisc import cli, verify
+from fvvisc import cli, invariants, verify
 from fvvisc.verify import ConvergenceRecord
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -418,6 +418,17 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         rc = cli.main(["selftest"])
         out = capsys.readouterr().out
-        assert rc == cli.EXIT_OK
+        assert rc == cli.EXIT_OK == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 10
+
+    def test_failing_check_exits_1_after_running_every_check(
+            self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("deliberately broken")
+        monkeypatch.setattr(invariants, "CHECKS", [
+            ("broken", broken), ("fine", lambda: None)])
+        rc = cli.main(["selftest"])
+        assert rc == cli.EXIT_CHECK_FAILED == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL broken: deliberately broken", "PASS fine"]

@@ -123,3 +123,77 @@ class TestTetMesh:
         with pytest.raises(ValueError):
             mesh.generate_tet_mesh(1)
 
+
+def _reference_mesh_arrays(vertices, cells):
+    """Every Mesh3D array, with faces matched by np.unique(axis=0).
+
+    The oracle of the face table: faces in ascending order of their sorted
+    vertex triples, each owned by the first cell listing it.
+    """
+    p = vertices[cells]
+    vol = np.linalg.det(p[:, 1:, :] - p[:, :1, :]) / 6.0
+    flat = cells[:, mesh._TET_FACES].reshape(-1, 3)
+    _, inv, counts = np.unique(np.sort(flat, axis=1), axis=0,
+                               return_inverse=True, return_counts=True)
+    order = np.argsort(inv, kind="stable")
+    first = order[np.cumsum(counts) - counts]
+    face_vertices = flat[first]
+    face_owner = first // 4
+    face_neighbor = np.full(counts.shape[0], -1, dtype=np.int64)
+    face_neighbor[counts == 2] = order[np.cumsum(counts)[counts == 2] - 1] // 4
+    fp = vertices[face_vertices]
+    face_normal = 0.5 * np.cross(fp[:, 1] - fp[:, 0], fp[:, 2] - fp[:, 0])
+    boundary_cell = np.zeros(cells.shape[0], dtype=bool)
+    boundary_cell[face_owner[face_neighbor < 0]] = True
+    return dict(vertices=vertices, cells=cells, cell_centroid=p.mean(axis=1),
+                cell_volume=vol, face_vertices=face_vertices,
+                face_centroid=fp.mean(axis=1), face_normal=face_normal,
+                face_area=np.linalg.norm(face_normal, axis=1),
+                face_owner=face_owner, face_neighbor=face_neighbor,
+                boundary_cell=boundary_cell)
+
+
+class TestFaceTableOracle:
+    # n = 7 and 11 at benchmark pool index 3: perturbation 0.1, seed index + n
+    @pytest.mark.parametrize(
+        "n, perturbation, seed",
+        [(n, p, 5) for n in (2, 3, 4, 5) for p in (0.0, 0.2)]
+        + [(7, 0.1, 10), (11, 0.1, 14)])
+    def test_every_array_matches_unique_matching(self, n, perturbation, seed):
+        m = mesh.generate_tet_mesh(n, perturbation=perturbation, seed=seed)
+        ref = _reference_mesh_arrays(m.vertices, m.cells)
+        for name, expected in ref.items():
+            got = getattr(m, name)
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
+
+
+# Three positively oriented tets on the triangle (0, 1, 2): one below it,
+# two above.
+_FAN_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.2, 0.2, 2.0]])
+_FAN_CELLS = np.array([[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]])
+
+
+class TestBuildMeshValidation:
+    def test_face_shared_by_three_cells_is_named(self):
+        with pytest.raises(mesh.MeshError, match=r"^non-manifold connectivity: "
+                           r"face \(0, 1, 2\) is shared by 3 cells$"):
+            mesh.build_mesh(_FAN_VERTICES, _FAN_CELLS)
+
+    def test_two_of_the_three_cells_build(self):
+        m = mesh.build_mesh(_FAN_VERTICES, _FAN_CELLS[:2])
+        assert m.interior_faces.size == 1
+
+    @pytest.mark.parametrize("cells, match", [
+        (np.array([0, 1, 2, 3]), r"\(C, 4\) array"),
+        (np.array([[0, 1, 2]]), r"\(C, 4\) array"),
+        (np.zeros((0, 4), dtype=np.int64), r"\(C, 4\) array"),
+        (np.array([[0.0, 1.0, 2.0, 3.0]]), r"integer vertex indices"),
+        (np.array([[0, 1, 2, -1]]), r"in \[0, 6\), got \[-1, 2\]"),
+        (np.array([[0, 1, 2, 6]]), r"in \[0, 6\), got \[0, 6\]"),
+    ], ids=["1d", "three-columns", "no-cells", "float", "negative",
+            "past-the-end"])
+    def test_malformed_cells_raise_mesh_error(self, cells, match):
+        with pytest.raises(mesh.MeshError, match=match):
+            mesh.build_mesh(_FAN_VERTICES, cells)

@@ -147,6 +147,33 @@ class TestLsqOperatorAgainstPerCellBuild:
             recon._lsq_operator(pair)
 
 
+def _normal_matrices(m):
+    """(C, 3, 3) normal matrices of the face-neighbor stencils."""
+    interior = m.interior_faces
+    o, k = m.face_owner[interior], m.face_neighbor[interior]
+    cell, nbr = np.concatenate([o, k]), np.concatenate([k, o])
+    dx = m.cell_centroid[nbr] - m.cell_centroid[cell]
+    g = np.zeros((m.n_cells, 3, 3))
+    np.add.at(g, cell, dx[:, :, None] * dx[:, None, :])
+    return g
+
+
+class TestRankTestAgainstSvd:
+    @pytest.mark.parametrize("perturbation", [0.0, 0.1, 0.2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+    def test_classification_matches_svd_on_every_cell(self, n, perturbation):
+        m = mesh.generate_tet_mesh(n, perturbation=perturbation, seed=n)
+        g = _normal_matrices(m)
+        sv = np.linalg.svd(g, compute_uv=False)
+        ref = sv[:, -1] > recon._RANK_TOL * sv[:, 0]
+        assert np.array_equal(recon._full_rank(g), ref)
+        assert [bool(recon._full_rank(gc)) for gc in g] == ref.tolist()
+        # boundary stencils with coplanar neighbors are rank deficient
+        assert 0 < (~ref).sum() < m.boundary_cell.sum()
+        if perturbation == 0.0:
+            assert np.all(sv[~ref, -1] <= 1e-12 * sv[~ref, 0])
+
+
 class TestReconstructLR:
     def test_linear_field_gives_matching_face_values(self):
         m = mesh.generate_tet_mesh(3, perturbation=0.2, seed=17)
