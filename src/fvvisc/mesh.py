@@ -178,8 +178,10 @@ def build_mesh(vertices: np.ndarray, cells: np.ndarray) -> Mesh3D:
     by one stable lexicographic sort of their sorted vertex triples, so
     faces come in ascending triple order, each owned by the first cell
     that lists it; a triple shared by more than two cells raises MeshError.
+    The mesh keeps read-only copies of ``vertices`` and ``cells``; the
+    caller's arrays are left as they are.
     """
-    vertices = np.asarray(vertices, dtype=float)
+    vertices = np.array(vertices, dtype=float)
     cells = np.asarray(cells)
     if cells.ndim != 2 or cells.shape[0] == 0 or cells.shape[1] != 4:
         raise MeshError(f"cells must be a (C, 4) array with C >= 1, "
@@ -191,7 +193,7 @@ def build_mesh(vertices: np.ndarray, cells: np.ndarray) -> Mesh3D:
     if cells.min() < 0 or cells.max() >= nv:
         raise MeshError(f"cell vertex indices must lie in [0, {nv}), "
                         f"got [{cells.min()}, {cells.max()}]")
-    cells = cells.astype(np.int64, copy=False)
+    cells = cells.astype(np.int64)
 
     p = vertices[cells]  # (C, 4, 3)
     edges = p[:, 1:, :] - p[:, :1, :]

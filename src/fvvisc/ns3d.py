@@ -9,6 +9,11 @@ variable is a constant plus the same psi(s): a change of psi needs a new
 forcing, or the finite-difference oracle check in ``fvvisc.invariants``
 fails.  Cells adjacent to a boundary face are pinned to the exact solution
 and carry zero residual.
+
+Layout.  Cell arrays keep the variables last, (C, 5), as the solver reads
+them; face arrays are per-variable rows, (5, F), (3, F) or (5, 3, F), the
+layout of the ``recon`` and ``physics`` face kernels.  ``residual_ns3d`` is
+where the two meet.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import layout, physics, recon
+from . import physics, recon
 from .mesh import Mesh3D
 from .recon import Strategy
 
@@ -49,21 +54,19 @@ def mms_total_flux(points: np.ndarray) -> np.ndarray:
     Composed numerically from the physics-module flux routines and the
     analytic state/gradients; independent of the closed-form forcing, which
     is cross-checked against a finite-difference divergence of this
-    function.
+    function.  The flux routines take per-variable rows, so the state and
+    gradients are handed over as (5, ...) and (5, 3, ...) views.
     """
     points = np.asarray(points, dtype=float)
-    w = mms_state(points)
-    grads = mms_gradients(points)           # (..., 5, 3)
-    grad_v = grads[..., 1:4, :]
-    grad_t = grads[..., 4, :]
-    mu = physics.sutherland_viscosity(w[..., 4])
-    vel = w[..., 1:4]
+    w = np.moveaxis(mms_state(points), -1, 0)
+    grads = np.moveaxis(mms_gradients(points), (-2, -1), (0, 1))
+    mu = physics.sutherland_viscosity(w[4])
     out = np.empty(points.shape[:-1] + (3, 5))
-    eye = np.eye(3)
-    for d in range(3):
-        nhat = np.broadcast_to(eye[d], points.shape)
-        out[..., d, :] = physics.inviscid_normal_flux(w, nhat) + \
-            physics.viscous_normal_flux(grad_v, grad_t, vel, mu, nhat)
+    for d, axis in enumerate(np.eye(3)):
+        nhat = np.moveaxis(np.broadcast_to(axis, points.shape), -1, 0)
+        flux = physics.inviscid_normal_flux(w, nhat) + \
+            physics.viscous_normal_flux(grads[1:4], grads[4], w[1:4], mu, nhat)
+        out[..., d, :] = np.moveaxis(flux, 0, -1)
     return out
 
 
@@ -117,20 +120,17 @@ class NS3DProblem:
         self.f_owner = self.mesh.face_owner[fi]
         self.f_neighbor = self.mesh.face_neighbor[fi]
         self.f_area = self.mesh.face_area[fi]
-        self.f_nhat = self.mesh.face_normal[fi] / self.f_area[:, None]
-        # face centroid minus owner / neighbor centroid, their lengths as
-        # (F, 1) columns, and the projected centroid distance (x_k - x_o).n
+        # face geometry as per-variable rows: the unit normals and the face
+        # centroid minus the owner / neighbor centroid as (3, F), their
+        # lengths as (F,), and the projected centroid distance (x_k - x_o).n
+        nhat = self.mesh.face_normal[fi] / self.f_area[:, None]
         x_f = self.mesh.face_centroid[fi]
         x_o, x_k = xc[self.f_owner], xc[self.f_neighbor]
-        self.f_offset = (x_f - x_o, x_f - x_k)
-        self.f_dist = tuple(np.linalg.norm(d, axis=-1)[:, None]
-                            for d in self.f_offset)
-        self.f_dn = np.einsum("fd,fd->f", x_k - x_o, self.f_nhat)
-        # normals and offsets as per-variable rows (fvvisc.layout), which
-        # the face kernels read without a copy
-        self.f_nhat = layout.variables_last(layout.rows(self.f_nhat))
-        self.f_offset = tuple(layout.variables_last(layout.rows(d))
-                              for d in self.f_offset)
+        offsets = (x_f - x_o, x_f - x_k)
+        self.f_nhat = np.ascontiguousarray(nhat.T)
+        self.f_offset = tuple(np.ascontiguousarray(d.T) for d in offsets)
+        self.f_dist = tuple(np.linalg.norm(d, axis=-1) for d in offsets)
+        self.f_dn = np.einsum("fd,fd->f", x_k - x_o, nhat)
         # signed cell-by-face incidence times the face area, C x F CSR:
         # +area in the owner row, -area in the neighbor row
         faces = np.arange(len(fi))
@@ -156,32 +156,33 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
     are zeroed by the closure).  With ``with_closure=False`` the raw assembled
     residual is returned, which telescopes: its sum over all cells equals
     minus the total forcing.  ``include_forcing=False`` drops the source term
-    (used by the free-stream preservation check).  The face fluxes reach the
-    cells through one product with ``problem.f_incidence``.
+    (used by the free-stream preservation check).
+
+    The cell layout, (C, 5), meets the face layout here: the states and
+    gradients are gathered by face as per-variable rows, (5, F) and
+    (5, 3, F), every face kernel works on those rows, and the face fluxes
+    reach the cells through one product with ``problem.f_incidence``.
     """
     w = np.asarray(states, dtype=float)
-    grads = recon.lsq_gradient_3d(problem.mesh, w)       # (C, 5, 3)
-
-    # face arrays are variables-last views of per-variable rows, which the
-    # recon and physics kernels read without a copy
+    grads = recon.lsq_gradient_3d(problem.mesh, w)       # (5, 3, C)
+    rows = np.ascontiguousarray(w.T)
     faces = (problem.f_owner, problem.f_neighbor)
-    w_o, w_k = layout.gather(w, faces)
-    g_o, g_k = layout.gather(grads, faces, axes=2)
+    w_o, w_k = (rows.take(f, axis=-1) for f in faces)
+    g_o, g_k = (grads.take(f, axis=-1) for f in faces)
     w_l, w_r = recon.reconstruct_lr(w_o, g_o, w_k, g_k, *problem.f_offset)
 
     flux = physics.roe_flux(w_l, w_r, problem.f_nhat)
 
-    # face gradient and face values of the state columns (u, v, w, T)
+    # face gradient and face values of the state rows (u, v, w, T)
     grad_f = recon.alpha_damped_face_gradient(
-        g_o[:, 1:], g_k[:, 1:], w_l[:, 1:], w_r[:, 1:], problem.f_dn,
-        problem.f_nhat)
-    tv_f = recon.face_scalar(problem.strategy, w_o[:, 1:], w_k[:, 1:],
-                             w_l[:, 1:], w_r[:, 1:], *problem.f_dist)
-    mu_f = physics.sutherland_viscosity(tv_f[:, 3])
-    flux += physics.viscous_normal_flux(grad_f[:, :3], grad_f[:, 3],
-                                        tv_f[:, :3], mu_f, problem.f_nhat)
+        g_o[1:], g_k[1:], w_l[1:], w_r[1:], problem.f_dn, problem.f_nhat)
+    tv_f = recon.face_scalar(problem.strategy, w_o[1:], w_k[1:],
+                             w_l[1:], w_r[1:], *problem.f_dist)
+    mu_f = physics.sutherland_viscosity(tv_f[3])
+    flux += physics.viscous_normal_flux(grad_f[:3], grad_f[3], tv_f[:3],
+                                        mu_f, problem.f_nhat)
 
-    res = problem.f_incidence @ flux
+    res = problem.f_incidence @ flux.T
     if include_forcing:
         res -= problem.source
     if with_closure:

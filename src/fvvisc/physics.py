@@ -5,20 +5,18 @@ free-stream speed of sound, which gives p = rho T / gamma and the factor
 mach/reynolds in the Sutherland viscosity.  The flow condition is fixed:
 the module constants MACH ... PRANDTL below.
 
-Layout.  At the interface the variables are the last axis: a state is
-(..., 5), a vector (..., 3) and a velocity gradient (..., 3, 3), and every
-routine broadcasts over the leading axes, so one call serves a whole array
-of faces.  Inside, the flux routines take each input as per-variable rows,
-(5, ...), (3, ...) or (3, 3, ...), so that every step works on contiguous
-arrays over the faces, and write their (..., 5) or (..., 3) result once,
-as per-variable rows seen through a variables-last view (``fvvisc.layout``).
+Layout.  The face fluxes take and return per-variable rows: a state is
+(5, ...), a vector (3, ...) and a velocity gradient (3, 3, ...), and every
+flux routine broadcasts over the trailing axes by NumPy's own rules, so one
+call serves a whole array of faces and every step runs over contiguous
+arrays of faces.  The cell-state routines (``pressure``, the conversions
+and ``inviscid_flux_jacobian``) keep the variables on the last axis, the
+layout of the solver's (C, 5) states.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import layout
 
 MACH = 0.1            # free-stream Mach number
 REYNOLDS = 0.1        # free-stream Reynolds number
@@ -77,13 +75,14 @@ def sutherland_viscosity(t_face):
     return (MACH / REYNOLDS) * (1.0 + cr) / (t_face + cr) * t_face ** 1.5
 
 
-def _stack(rows, lead):
-    """Write per-variable rows (scalars or broadcastable to lead) once into
-    (len(rows), *lead) storage; return its variables-last view."""
-    out = np.empty((len(rows),) + lead)
+def _stack(*rows):
+    """Write per-variable rows, scalars or arrays that broadcast together,
+    once into one (len(rows), ...) array."""
+    out = np.empty((len(rows),)
+                   + np.broadcast_shapes(*(np.shape(r) for r in rows)))
     for i, row in enumerate(rows):
         out[i] = row
-    return layout.variables_last(out)
+    return out
 
 
 def _dot(a, b):
@@ -91,42 +90,28 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _shear_rows(grad_v, mu, n):
-    """tau . n as (3, ...) rows from the rows grad_v[i, j] = d v_i / d x_j,
-    (3, 3, ...)."""
-    div = grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]
-    sym = grad_v + grad_v.swapaxes(0, 1)
-    sym_n = sym[:, 0] * n[0] + sym[:, 1] * n[1] + sym[:, 2] * n[2]
-    return mu * (sym_n - (2.0 / 3.0) * div * n)
-
-
 def shear_stress_normal(grad_v: np.ndarray, mu, nhat: np.ndarray) -> np.ndarray:
     """tau . nhat with tau = mu [grad v + (grad v)^t - (2/3) tr(grad v) I].
 
-    grad_v[..., i, j] = d v_i / d x_j.
+    grad_v[i, j] = d v_i / d x_j, (3, 3, ...); nhat (3, ...).
+    Returns (3, ...).
     """
-    lead = np.broadcast_shapes(np.shape(grad_v)[:-2], np.shape(mu),
-                               np.shape(nhat)[:-1])
-    tau_n = _shear_rows(layout.rows(grad_v, lead, axes=2),
-                        np.asarray(mu, dtype=float), layout.rows(nhat, lead))
-    return _stack(tau_n, lead)
+    div = grad_v[0, 0] + grad_v[1, 1] + grad_v[2, 2]
+    sym = grad_v + grad_v.swapaxes(0, 1)
+    sym_n = sym[:, 0] * nhat[0] + sym[:, 1] * nhat[1] + sym[:, 2] * nhat[2]
+    return mu * (sym_n - (2.0 / 3.0) * div * nhat)
 
 
 def viscous_normal_flux(grad_v, grad_t, v_face, mu, nhat):
     """Projected viscous flux (0, -tau_n, -tau_n . v_f + q_n).
 
-    q_n = -(mu / (Pr (gamma - 1))) grad T . nhat.  Returns (..., 5).
+    q_n = -(mu / (Pr (gamma - 1))) grad T . nhat.  grad_v (3, 3, ...),
+    grad_t, v_face and nhat (3, ...).  Returns (5, ...).
     """
-    lead = np.broadcast_shapes(np.shape(grad_v)[:-2], np.shape(grad_t)[:-1],
-                               np.shape(v_face)[:-1], np.shape(mu),
-                               np.shape(nhat)[:-1])
-    mu = np.asarray(mu, dtype=float)
-    n = layout.rows(nhat, lead)
-    tau_n = _shear_rows(layout.rows(grad_v, lead, axes=2), mu, n)
-    q_n = -mu / (PRANDTL * (GAMMA - 1.0)) * \
-        _dot(layout.rows(grad_t, lead), n)
-    work = _dot(tau_n, layout.rows(v_face, lead))
-    return _stack((0.0, *(-tau_n), q_n - work), lead)
+    tau_n = shear_stress_normal(grad_v, mu, nhat)
+    q_n = -mu / (PRANDTL * (GAMMA - 1.0)) * _dot(grad_t, nhat)
+    work = _dot(tau_n, v_face)
+    return _stack(0.0, *(-tau_n), q_n - work)
 
 
 def _inviscid_rows(rho, vel, p, h_tot, n):
@@ -146,11 +131,12 @@ def _primitive(w):
 
 
 def inviscid_normal_flux(w: np.ndarray, nhat: np.ndarray) -> np.ndarray:
-    """Analytic projected inviscid flux (rho vn, rho vn v + p n, vn (rho E + p))."""
-    lead = np.broadcast_shapes(np.shape(w)[:-1], np.shape(nhat)[:-1])
-    mass, mom, energy = _inviscid_rows(*_primitive(layout.rows(w, lead)),
-                                       layout.rows(nhat, lead))
-    return _stack((mass, *mom, energy), lead)
+    """Analytic projected inviscid flux (rho vn, rho vn v + p n, vn (rho E + p)).
+
+    w (5, ...), nhat (3, ...).  Returns (5, ...).
+    """
+    mass, mom, energy = _inviscid_rows(*_primitive(w), nhat)
+    return _stack(mass, *mom, energy)
 
 
 def _entropy_fix(lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -165,12 +151,9 @@ def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     the tangent-vector-free form (the two shear waves are combined).  A
     Harten-type entropy fix with delta = ENTROPY_FIX_COEFF * c_roe is applied
     to the acoustic eigenvalues.  Consistent: roe_flux(w, w, n) equals the
-    analytic projected flux of w.
+    analytic projected flux of w.  w_l, w_r (5, ...), nhat (3, ...).
+    Returns (5, ...).
     """
-    lead = np.broadcast_shapes(np.shape(w_l)[:-1], np.shape(w_r)[:-1],
-                               np.shape(nhat)[:-1])
-    w_l, w_r = layout.rows(w_l, lead), layout.rows(w_r, lead)
-    n = layout.rows(nhat, lead)
     if np.any(w_l[0] <= 0) or np.any(w_l[4] <= 0) or \
        np.any(w_r[0] <= 0) or np.any(w_r[4] <= 0):
         raise InvalidStateError("Roe flux requires positive density and temperature")
@@ -187,12 +170,12 @@ def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     if np.any(c2_a <= 0.0):
         raise InvalidStateError("negative Roe-averaged sound speed")
     c_a = np.sqrt(c2_a)
-    vn_a = _dot(vel_a, n)
+    vn_a = _dot(vel_a, nhat)
 
     d_rho = rho_r - rho_l
     d_p = p_r - p_l
     d_vel = vel_r - vel_l
-    d_vn = _dot(d_vel, n)
+    d_vn = _dot(d_vel, nhat)
 
     # wave strengths times the wave speeds: acoustic vn - c, entropy,
     # acoustic vn + c and the combined shear waves
@@ -203,22 +186,22 @@ def roe_flux(w_l: np.ndarray, w_r: np.ndarray, nhat: np.ndarray) -> np.ndarray:
     s3 = _entropy_fix(vn_a + c_a, delta) * \
         (d_p + rho_a * c_a * d_vn) / (2.0 * c2_a)
     s4 = np.abs(vn_a) * rho_a
-    shear = d_vel - d_vn * n
+    shear = d_vel - d_vn * nhat
 
     # dissipation: the right eigenvectors (1, v - c n, H - c vn),
     # (1, v, |v|^2 / 2), (1, v + c n, H + c vn) and (0, shear, v . shear)
     # weighted by s1 ... s4
     d_mass = s1 + s2 + s3
-    d_mom = d_mass * vel_a + (s3 - s1) * c_a * n + s4 * shear
+    d_mom = d_mass * vel_a + (s3 - s1) * c_a * nhat + s4 * shear
     d_energy = (s1 * (h_a - c_a * vn_a) + s2 * 0.5 * q2_a
                 + s3 * (h_a + c_a * vn_a) + s4 * _dot(vel_a, shear))
 
-    f_l = _inviscid_rows(rho_l, vel_l, p_l, h_l, n)
-    f_r = _inviscid_rows(rho_r, vel_r, p_r, h_r, n)
+    f_l = _inviscid_rows(rho_l, vel_l, p_l, h_l, nhat)
+    f_r = _inviscid_rows(rho_r, vel_r, p_r, h_r, nhat)
     mass = 0.5 * (f_l[0] + f_r[0] - d_mass)
     mom = 0.5 * (f_l[1] + f_r[1] - d_mom)
     energy = 0.5 * (f_l[2] + f_r[2] - d_energy)
-    return _stack((mass, *mom, energy), lead)
+    return _stack(mass, *mom, energy)
 
 
 def inviscid_flux_jacobian(w: np.ndarray, nhat: np.ndarray) -> np.ndarray:

@@ -4,8 +4,12 @@ Cell gradients come from an unweighted linear least-squares fit over
 face-adjacent neighbors (1D: central differences over cell centers).  Face
 values for viscous coefficients are produced by one of several interchangeable
 strategies; face gradients use the alpha-damped average of cell gradients
-with the fixed damping coefficient ALPHA = 4/3.  All operations are pure and
-broadcast over leading axes.
+with the fixed damping coefficient ALPHA = 4/3.  All operations are pure.
+
+Layout.  The 3D gradients and face kernels use per-variable rows: a state
+is (m, ...), a vector (3, ...) and a gradient (m, 3, ...), and the kernels
+broadcast over the trailing axes by NumPy's own rules.  The 1D routines
+keep the cells on the last axis and broadcast over the leading ones.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import layout
 from .mesh import Grid1D, Mesh3D
 
 ALPHA = 4.0 / 3.0  # face-gradient damping coefficient
@@ -165,55 +168,48 @@ def _full_rank(g):
 def _augmented_stencil(xc, nbr, ptr, c):
     """Augmented stencil and (3, k) weights of a rank-deficient cell.
 
-    The neighbors of cell j are nbr[ptr[j]:ptr[j+1]].  The stencil grows by
-    neighbors-of-neighbors until the normal matrix has full rank;
-    SingularStencilError if it still does not.
+    The neighbors of cell j are nbr[ptr[j]:ptr[j+1]].  The face stencil,
+    already found rank deficient, grows by neighbors-of-neighbors, at most
+    twice, and each grown stencil is rank-tested once; SingularStencilError
+    if none has full rank or nothing can be added.
     """
     stencil = nbr[ptr[c]:ptr[c + 1]].tolist()
     for _ in range(2):
-        dx = xc[stencil] - xc[c]
-        if _full_rank(dx.T @ dx):
-            break
         extra = sorted({m for j in stencil
                         for m in nbr[ptr[j]:ptr[j + 1]].tolist()}
                        - {c} - set(stencil))
         if not extra:
             break
         stencil = stencil + extra
-    dx = xc[stencil] - xc[c]
-    g = dx.T @ dx
-    if len(stencil) < 3 or not _full_rank(g):
-        raise SingularStencilError(
-            f"cell {c}: least-squares stencil of size {len(stencil)} "
-            "is rank deficient")
-    return stencil, np.linalg.solve(g, dx.T)
+        dx = xc[stencil] - xc[c]
+        g = dx.T @ dx
+        if _full_rank(g):
+            return stencil, np.linalg.solve(g, dx.T)
+    raise SingularStencilError(
+        f"cell {c}: least-squares stencil of size {len(stencil)} "
+        "is rank deficient")
 
 
 def lsq_gradient_3d(mesh: Mesh3D, field: np.ndarray) -> np.ndarray:
     """Unweighted least-squares cell gradients; exact for linear fields.
 
-    field: (C,) or (C, m).  Returns (C, 3) or (C, m, 3).
+    field: (C,) or (C, m), the cell layout.  Returns per-variable rows,
+    (3, C) or (m, 3, C).
     """
-    gx, gy, gz = _lsq_operator(mesh)
-    grads = np.stack([gx @ field, gy @ field, gz @ field], axis=-1)
+    grads = np.empty(np.shape(field)[1:] + (3, mesh.n_cells))
+    for d, g in enumerate(_lsq_operator(mesh)):
+        grads[..., d, :] = (g @ field).T
     return grads
 
 
 def reconstruct_lr(state_j, grad_j, state_k, grad_k, off_j, off_k):
     """Linear one-sided extrapolations of both cell states to the face centroid.
 
-    state: (..., m); grad: (..., m, d); off: (..., d), the face centroid
-    minus the cell centroid.  Returns (w_L, w_R), computed on per-variable
-    rows (``fvvisc.layout``).
+    state: (m, ...); grad: (m, d, ...); off: (d, ...), the face centroid
+    minus the cell centroid.  Returns (w_L, w_R), each (m, ...).
     """
-    lead = np.broadcast_shapes(
-        *(np.shape(a)[:-1] for a in (state_j, state_k, off_j, off_k)),
-        *(np.shape(g)[:-2] for g in (grad_j, grad_k)))
-
     def extrapolate(state, grad, off):
-        g, x = layout.rows(grad, lead, axes=2), layout.rows(off, lead)
-        return layout.variables_last(layout.rows(state, lead) + sum(
-            g[:, d] * x[d] for d in range(g.shape[1])))
+        return state + sum(grad[:, d] * off[d] for d in range(grad.shape[1]))
     return extrapolate(state_j, grad_j, off_j), \
         extrapolate(state_k, grad_k, off_k)
 
@@ -221,22 +217,16 @@ def reconstruct_lr(state_j, grad_j, state_k, grad_k, off_j, off_k):
 def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, dn, nhat):
     """Face gradient: averaged cell gradients plus a damped face-normal jump.
 
-    grad: (..., m, d); w: (..., m); nhat: (..., d) unit normal; dn: (...,)
+    grad: (m, d, ...); w: (m, ...); nhat: (d, ...) unit normal; dn: (...)
     the centroid distance (x_k - x_j) . nhat.  The damping scale is
-    ALPHA / |dn|.  Computed on per-variable rows (``fvvisc.layout``).
+    ALPHA / |dn|.  Returns (m, d, ...).
     """
     if np.any(dn == 0.0):
         raise DegenerateGeometryError(
             "face with (x_k - x_j) orthogonal to the face normal")
-    lead = np.broadcast_shapes(
-        *(np.shape(g)[:-2] for g in (grad_j, grad_k)),
-        *(np.shape(a)[:-1] for a in (w_l, w_r, nhat)), np.shape(dn))
-    avg = 0.5 * (layout.rows(grad_j, lead, axes=2)
-                 + layout.rows(grad_k, lead, axes=2))
-    jump = (ALPHA / np.abs(dn)) * (layout.rows(w_r, lead)
-                                   - layout.rows(w_l, lead))
-    return layout.variables_last(
-        avg + jump[:, None] * layout.rows(nhat, lead), axes=2)
+    avg = 0.5 * (grad_j + grad_k)
+    jump = (ALPHA / np.abs(dn)) * (w_r - w_l)
+    return avg + jump[:, None] * nhat
 
 
 def face_derivative_1d(gx_j, gx_k, u_l, u_r, dx_cells):
@@ -253,7 +243,7 @@ def face_scalar(strategy: Strategy, t_j, t_k, t_l, t_r, d_j=None, d_k=None):
     t_j, t_k are the adjacent cell values; t_l, t_r the linearly reconstructed
     face values (used only by the L/R-average strategy).  The face-to-centroid
     distances d_j, d_k are required only for inverse-distance weighting; they
-    broadcast against the values, so (F, 1) distances weight (F, m) values.
+    broadcast against the values, so (F,) distances weight (m, F) rows.
     """
     t_j = np.asarray(t_j, dtype=float)
     t_k = np.asarray(t_k, dtype=float)

@@ -515,9 +515,10 @@ def _jacobian_ns3d(problem, w, cfl):
     nc = mesh.n_cells
     o, k = problem.f_owner, problem.f_neighbor
     area = problem.f_area
+    nhat = problem.f_nhat.T
     # face state, viscosity and spectral radii (unit area)
     wf = 0.5 * (w[o] + w[k])
-    lam_c = np.abs(np.einsum("fd,fd->f", wf[:, 1:4], problem.f_nhat)) + \
+    lam_c = np.abs(np.einsum("fd,fd->f", wf[:, 1:4], nhat)) + \
         np.sqrt(wf[:, 4])
     mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
     d = np.linalg.norm(mesh.cell_centroid[k] - mesh.cell_centroid[o], axis=1)
@@ -534,8 +535,8 @@ def _jacobian_ns3d(problem, w, cfl):
 
     # per-unit-area face blocks: d(flux)/d(U_o) and d(flux)/d(U_k)
     eye = np.eye(5)
-    a_o = physics.inviscid_flux_jacobian(w[o], problem.f_nhat)
-    a_k = physics.inviscid_flux_jacobian(w[k], problem.f_nhat)
+    a_o = physics.inviscid_flux_jacobian(w[o], nhat)
+    a_k = physics.inviscid_flux_jacobian(w[k], nhat)
     b_o = 0.5 * (a_o + lam_c[:, None, None] * eye) + visc
     b_k = 0.5 * (a_k - lam_c[:, None, None] * eye) - visc
 

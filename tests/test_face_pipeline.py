@@ -2,19 +2,20 @@
 variables-last oracles.
 
 ``physics.roe_flux``, ``physics.viscous_normal_flux``,
-``recon.reconstruct_lr`` and ``recon.alpha_damped_face_gradient`` work on
-per-variable rows inside (``fvvisc.layout``), and ``ns3d.residual_ns3d``
-sums the face fluxes into the cells with one sparse product.  The oracles
-below are the earlier variables-last kernels and the ``np.add.at`` assembly,
-kept here as test code only.  The arithmetic is regrouped, so the comparison
-uses a tolerance fixed in float64 units before comparing: 64 eps of the
-largest oracle value.
+``recon.reconstruct_lr`` and ``recon.alpha_damped_face_gradient`` take and
+return per-variable rows, and ``ns3d.residual_ns3d`` sums the face fluxes
+into the cells with one sparse product.  The oracles below are the earlier
+variables-last kernels and the ``np.add.at`` assembly, kept here as test
+code only; the kernels' inputs and outputs are moved between the two
+layouts by transposes.  The arithmetic is regrouped, so the comparison uses
+a tolerance fixed in float64 units before comparing: 64 eps of the largest
+oracle value.
 """
 
 import numpy as np
 import pytest
 
-from fvvisc import layout, mesh, ns3d, physics, recon
+from fvvisc import mesh, ns3d, physics, recon
 from fvvisc.recon import STRATEGY_TAGS, Strategy
 
 EPS = np.finfo(float).eps
@@ -150,20 +151,21 @@ def _reference_face_flux(problem, w):
     """Face fluxes times face areas, (F, 5), as the earlier residual formed
     them: the damped face gradient of all five variables."""
     m = problem.mesh
-    grads = recon.lsq_gradient_3d(m, w)
+    grads = _last(recon.lsq_gradient_3d(m, w), 2)
     o, k = problem.f_owner, problem.f_neighbor
+    nhat = problem.f_nhat.T
     w_o, w_k, g_o, g_k = w[o], w[k], grads[o], grads[k]
     w_l, w_r = _reference_reconstruct_lr(w_o, g_o, w_k, g_k,
-                                         *problem.f_offset)
-    flux = _reference_roe_flux(w_l, w_r, problem.f_nhat)
+                                         *(d.T for d in problem.f_offset))
+    flux = _reference_roe_flux(w_l, w_r, nhat)
     grad_f = _reference_alpha_damped_face_gradient(
-        g_o, g_k, w_l, w_r, problem.f_dn, problem.f_nhat)
+        g_o, g_k, w_l, w_r, problem.f_dn, nhat)
     tv_f = recon.face_scalar(problem.strategy, w_o[:, 1:], w_k[:, 1:],
-                             w_l[:, 1:], w_r[:, 1:], *problem.f_dist)
+                             w_l[:, 1:], w_r[:, 1:],
+                             *(d[:, None] for d in problem.f_dist))
     mu_f = physics.sutherland_viscosity(tv_f[:, 3])
     flux = flux + _reference_viscous_normal_flux(
-        grad_f[:, 1:4, :], grad_f[:, 4, :], tv_f[:, :3], mu_f,
-        problem.f_nhat)
+        grad_f[:, 1:4, :], grad_f[:, 4, :], tv_f[:, :3], mu_f, nhat)
     return flux * problem.f_area[:, None]
 
 
@@ -176,7 +178,19 @@ def _reference_residual(problem, w):
     return res - problem.forcing * problem.mesh.cell_volume[:, None]
 
 
-# --- inputs -----------------------------------------------------------------
+# --- layouts and inputs -----------------------------------------------------
+
+def _rows(a, k=1):
+    """Per-variable rows of a variables-last array: (..., n) -> (n, ...),
+    or with k=2, (..., n, m) -> (n, m, ...)."""
+    return np.moveaxis(a, range(-k, 0), range(k))
+
+
+def _last(r, k=1):
+    """The variables-last array of per-variable rows (the inverse of
+    _rows)."""
+    return np.moveaxis(r, range(k), range(-k, 0))
+
 
 def _states(rng, shape):
     w = np.empty(shape + (5,))
@@ -217,7 +231,7 @@ class TestKernelsAgainstVariablesLastOracles:
         rng = np.random.default_rng(11)
         w_l, w_r, nhat = _states(rng, shape), _states(rng, shape), \
             _normals(rng, shape)
-        _close(physics.roe_flux(w_l, w_r, nhat),
+        _close(_last(physics.roe_flux(_rows(w_l), _rows(w_r), _rows(nhat))),
                _reference_roe_flux(w_l, w_r, nhat))
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -228,14 +242,14 @@ class TestKernelsAgainstVariablesLastOracles:
         vn_a, c_a = _roe_averages(w_l, w_r, nhat)
         # every state takes the fixed branch for the vn - c wave
         assert np.all(np.abs(vn_a - c_a) < physics.ENTROPY_FIX_COEFF * c_a)
-        _close(physics.roe_flux(w_l, w_r, nhat),
+        _close(_last(physics.roe_flux(_rows(w_l), _rows(w_r), _rows(nhat))),
                _reference_roe_flux(w_l, w_r, nhat))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_inviscid_normal_flux(self, shape):
         rng = np.random.default_rng(13)
         w, nhat = _states(rng, shape), _normals(rng, shape)
-        _close(physics.inviscid_normal_flux(w, nhat),
+        _close(_last(physics.inviscid_normal_flux(_rows(w), _rows(nhat))),
                _reference_inviscid_normal_flux(w, nhat))
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -246,10 +260,13 @@ class TestKernelsAgainstVariablesLastOracles:
         v_face = rng.normal(size=shape + (3,))
         mu = rng.uniform(0.5, 2.0, shape)
         nhat = _normals(rng, shape)
-        _close(physics.viscous_normal_flux(grad_v, grad_t, v_face, mu, nhat),
+        _close(_last(physics.viscous_normal_flux(
+                   _rows(grad_v, 2), _rows(grad_t), _rows(v_face), mu,
+                   _rows(nhat))),
                _reference_viscous_normal_flux(grad_v, grad_t, v_face, mu,
                                               nhat))
-        _close(physics.shear_stress_normal(grad_v, mu, nhat),
+        _close(_last(physics.shear_stress_normal(_rows(grad_v, 2), mu,
+                                                 _rows(nhat))),
                _reference_shear_stress_normal(grad_v, mu, nhat))
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -257,7 +274,8 @@ class TestKernelsAgainstVariablesLastOracles:
         rng = np.random.default_rng(17)
         args = [rng.normal(size=shape + s) for s in
                 ((5,), (5, 3), (5,), (5, 3), (3,), (3,))]
-        for got, ref in zip(recon.reconstruct_lr(*args),
+        rows = [_rows(a, a.ndim - len(shape)) for a in args]
+        for got, ref in zip(map(_last, recon.reconstruct_lr(*rows)),
                             _reference_reconstruct_lr(*args)):
             _close(got, ref)
 
@@ -268,8 +286,9 @@ class TestKernelsAgainstVariablesLastOracles:
         w_l, w_r = (rng.normal(size=shape + (4,)) for _ in range(2))
         dn = rng.uniform(0.1, 1.0, shape)
         nhat = _normals(rng, shape)
-        _close(recon.alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, dn,
-                                                nhat),
+        _close(_last(recon.alpha_damped_face_gradient(
+                   _rows(grad_j, 2), _rows(grad_k, 2), _rows(w_l),
+                   _rows(w_r), dn, _rows(nhat)), 2),
                _reference_alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r,
                                                      dn, nhat))
 
@@ -277,7 +296,7 @@ class TestKernelsAgainstVariablesLastOracles:
         rng = np.random.default_rng(15)
         w_l, w_r, nhat = _states(rng, (6,)), _states(rng, (6,)), \
             _normals(rng, ())
-        _close(physics.roe_flux(w_l, w_r, nhat),
+        _close(_last(physics.roe_flux(_rows(w_l), _rows(w_r), nhat[:, None])),
                _reference_roe_flux(w_l, w_r, np.broadcast_to(nhat, (6, 3))))
 
     @pytest.mark.parametrize("side, var", [(0, 0), (0, 4), (1, 0), (1, 4)])
@@ -287,35 +306,7 @@ class TestKernelsAgainstVariablesLastOracles:
         w = [_states(rng, (5,)), _states(rng, (5,))]
         w[side][2, var] = 0.0
         with pytest.raises(physics.InvalidStateError):
-            physics.roe_flux(w[0], w[1], _normals(rng, (5,)))
-
-
-class TestPerVariableStorage:
-    def test_kernel_outputs_pass_to_the_next_kernel_without_a_copy(self):
-        # the residual chains reconstruction, Roe flux and viscous flux on
-        # variables-last views; taking their rows must not copy
-        rng = np.random.default_rng(19)
-        w, nhat = _states(rng, (8,)), _normals(rng, (8,))
-        grad = rng.normal(size=(8, 5, 3))
-        off = rng.normal(scale=0.01, size=(8, 3))
-        outputs = [*recon.reconstruct_lr(w, grad, w, grad, off, -off),
-                   physics.roe_flux(w, w, nhat),
-                   physics.viscous_normal_flux(grad[:, 1:4], grad[:, 4],
-                                               w[:, 1:4], np.ones(8), nhat)]
-        for out in outputs:
-            assert np.shares_memory(layout.rows(out, (8,)), out)
-        g = recon.alpha_damped_face_gradient(grad, grad, w, w,
-                                             np.ones(8), nhat)
-        assert np.shares_memory(layout.rows(g, (8,), axes=2), g)
-
-    def test_gather_matches_fancy_indexing(self):
-        rng = np.random.default_rng(20)
-        a = rng.normal(size=(9, 5, 3))
-        idx = (np.array([4, 0, 4, 8]), np.array([1, 2]))
-        for got, i in zip(layout.gather(a, idx, axes=2), idx):
-            assert np.array_equal(got, a[i])
-        for got, i in zip(layout.gather(a[:, :, 0], idx), idx):
-            assert np.array_equal(got, a[i, :, 0])
+            physics.roe_flux(w[0].T, w[1].T, _normals(rng, (5,)).T)
 
 
 @pytest.fixture(scope="module", params=[3, 5])

@@ -119,6 +119,16 @@ class TestTetMesh:
         with pytest.raises(mesh.DegenerateMeshError):
             mesh.build_mesh(verts, np.array([[0, 1, 2, 3]]))
 
+    def test_caller_arrays_stay_writeable(self):
+        # the mesh freezes its own copies, not the arrays it was built from
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                             [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        cells = np.array([[0, 1, 2, 3]], dtype=np.int64)
+        m = mesh.build_mesh(vertices, cells)
+        assert vertices.flags.writeable and cells.flags.writeable
+        assert not m.vertices.flags.writeable
+        assert not m.cells.flags.writeable
+
     def test_too_small_n_rejected(self):
         with pytest.raises(ValueError):
             mesh.generate_tet_mesh(1)

@@ -59,6 +59,14 @@ class TestForcingOracle:
         rel = np.abs(f - fd).max() / np.abs(f).max()
         assert rel < 1e-7
 
+    def test_total_flux_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0.05, 0.45, (2, 3, 3))
+        flat = ns3d.mms_total_flux(pts.reshape(6, 3))
+        assert flat.shape == (6, 3, 5)
+        assert np.array_equal(ns3d.mms_total_flux(pts),
+                              flat.reshape(2, 3, 3, 5))
+
     def test_forcing_deterministic(self):
         pts = np.array([[0.1, 0.2, 0.3]])
         a = ns3d.mms_forcing(pts)
@@ -144,12 +152,13 @@ class TestStaticFaceGeometry:
         x_k = m.cell_centroid[m.face_neighbor[faces]]
         x_f = m.face_centroid[faces]
         nhat = m.face_normal[faces] / m.face_area[faces, None]
+        assert np.array_equal(problem.f_nhat.T, nhat)
         for got, x_c in zip(problem.f_offset, (x_o, x_k)):
-            assert np.array_equal(got, x_f - x_c)
+            assert np.array_equal(got.T, x_f - x_c)
         for got, x_c in zip(problem.f_dist, (x_o, x_k)):
-            assert got.shape == (len(faces), 1)
+            assert got.shape == (len(faces),)
             expect = [np.sqrt(np.dot(d, d)) for d in x_f - x_c]
-            assert np.allclose(got[:, 0], expect, rtol=1e-14, atol=0.0)
+            assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
         expect = [np.dot(d, n) for d, n in zip(x_k - x_o, nhat)]
         assert np.allclose(problem.f_dn, expect, rtol=1e-13, atol=1e-16)
         # owner-to-neighbor orientation: every centroid distance is positive

@@ -62,30 +62,33 @@ class TestViscousFlux:
     def test_zero_for_constant_state(self):
         n = 8
         flux = physics.viscous_normal_flux(
-            np.zeros((n, 3, 3)), np.zeros((n, 3)),
-            np.tile([0.3, 0.2, 0.1], (n, 1)), np.ones(n),
-            random_normals(n))
+            np.zeros((3, 3, n)), np.zeros((3, n)),
+            np.tile([0.3, 0.2, 0.1], (n, 1)).T, np.ones(n),
+            random_normals(n).T)
         assert np.abs(flux).max() == 0.0
 
     def test_no_mass_diffusion(self):
         rng = np.random.default_rng(3)
         flux = physics.viscous_normal_flux(
-            rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3)),
-            rng.normal(size=(4, 3)), np.ones(4), random_normals(4))
-        assert np.abs(flux[:, 0]).max() == 0.0
+            rng.normal(size=(4, 3, 3)).transpose(1, 2, 0),
+            rng.normal(size=(4, 3)).T, rng.normal(size=(4, 3)).T, np.ones(4),
+            random_normals(4).T)
+        assert np.abs(flux[0]).max() == 0.0
 
     def test_stress_is_traceless_plus_divergence(self):
         # pure shear du/dy: tau.n for n = y-hat must be mu * du/dy in x
         grad_v = np.zeros((1, 3, 3))
         grad_v[0, 0, 1] = 2.0  # du/dy
-        tau_n = physics.shear_stress_normal(grad_v, np.array([0.5]),
-                                            np.array([[0.0, 1.0, 0.0]]))
-        assert np.allclose(tau_n, [[1.0, 0.0, 0.0]], atol=1e-15)
+        tau_n = physics.shear_stress_normal(grad_v.transpose(1, 2, 0),
+                                            np.array([0.5]),
+                                            np.array([[0.0, 1.0, 0.0]]).T)
+        assert np.allclose(tau_n.T, [[1.0, 0.0, 0.0]], atol=1e-15)
 
     def test_dilatation_gives_deviatoric_stress(self):
         grad_v = np.eye(3)[None, :, :]  # div v = 3
-        tau_n = physics.shear_stress_normal(grad_v, np.array([1.0]),
-                                            np.array([[1.0, 0.0, 0.0]]))
+        tau_n = physics.shear_stress_normal(grad_v.transpose(1, 2, 0),
+                                            np.array([1.0]),
+                                            np.array([[1.0, 0.0, 0.0]]).T)
         # tau_xx = 2 - (2/3)*3 = 0
         assert np.abs(tau_n).max() < 1e-15
 
@@ -94,13 +97,13 @@ class TestInviscidFlux:
     def test_mass_flux(self):
         w = np.array([[1.1, 0.4, 0.0, 0.0, 0.9]])
         n = np.array([[1.0, 0.0, 0.0]])
-        f = physics.inviscid_normal_flux(w, n)
+        f = physics.inviscid_normal_flux(w.T, n.T).T
         assert abs(f[0, 0] - 1.1 * 0.4) < 1e-15
 
     def test_static_state_flux_is_pressure_only(self):
         w = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
         n = random_normals(1, seed=9)
-        f = physics.inviscid_normal_flux(w, n)
+        f = physics.inviscid_normal_flux(w.T, n.T).T
         p = physics.pressure(w)[0]
         assert np.allclose(f[0, 1:4], p * n[0], atol=1e-15)
         assert abs(f[0, 0]) < 1e-15
@@ -111,8 +114,8 @@ class TestRoeFlux:
     def test_consistency(self):
         w = random_states(32, seed=5)
         n = random_normals(32, seed=6)
-        f = physics.roe_flux(w, w, n)
-        exact = physics.inviscid_normal_flux(w, n)
+        f = physics.roe_flux(w.T, w.T, n.T)
+        exact = physics.inviscid_normal_flux(w.T, n.T)
         assert np.abs(f - exact).max() < 1e-13
 
     def test_rotation_antisymmetry(self):
@@ -120,8 +123,8 @@ class TestRoeFlux:
         wl = random_states(16, seed=7)
         wr = random_states(16, seed=8)
         n = random_normals(16, seed=9)
-        a = physics.roe_flux(wl, wr, n)
-        b = physics.roe_flux(wr, wl, -n)
+        a = physics.roe_flux(wl.T, wr.T, n.T)
+        b = physics.roe_flux(wr.T, wl.T, -n.T)
         assert np.abs(a + b).max() < 1e-12
 
     def test_supersonic_upwinding(self):
@@ -129,8 +132,8 @@ class TestRoeFlux:
         wl = np.array([[1.0, 3.0, 0.0, 0.0, 1.0]])
         wr = np.array([[1.1, 3.2, 0.0, 0.0, 1.05]])
         n = np.array([[1.0, 0.0, 0.0]])
-        f = physics.roe_flux(wl, wr, n)
-        exact = physics.inviscid_normal_flux(wl, n)
+        f = physics.roe_flux(wl.T, wr.T, n.T)
+        exact = physics.inviscid_normal_flux(wl.T, n.T)
         assert np.abs(f - exact).max() < 1e-12
 
     def test_dissipation_reduces_to_jump_damping(self):
@@ -139,9 +142,9 @@ class TestRoeFlux:
         wl = np.array([[1.0, 0.1, 0.0, 0.0, 1.0]])
         wr = np.array([[1.2, 0.1, 0.0, 0.0, 1.1]])
         n = np.array([[1.0, 0.0, 0.0]])
-        f = physics.roe_flux(wl, wr, n)
-        central = 0.5 * (physics.inviscid_normal_flux(wl, n)
-                         + physics.inviscid_normal_flux(wr, n))
+        f = physics.roe_flux(wl.T, wr.T, n.T)
+        central = 0.5 * (physics.inviscid_normal_flux(wl.T, n.T)
+                         + physics.inviscid_normal_flux(wr.T, n.T))
         assert np.abs(f - central).max() > 1e-4
 
 
@@ -156,8 +159,8 @@ class TestFluxJacobian:
             du = np.zeros_like(u0)
             du[:, col] = eps * np.maximum(1.0, np.abs(u0[:, col]))
             fp = physics.inviscid_normal_flux(
-                physics.cons_to_prim(u0 + du), n)
+                physics.cons_to_prim(u0 + du).T, n.T).T
             fm = physics.inviscid_normal_flux(
-                physics.cons_to_prim(u0 - du), n)
+                physics.cons_to_prim(u0 - du).T, n.T).T
             fd = (fp - fm) / (2.0 * du[:, col][:, None])
             assert np.abs(jac[:, :, col] - fd).max() < 1e-6

@@ -61,15 +61,15 @@ class TestLsqGradient3D:
         coef = np.array([1.5, -0.25, 0.75])
         phi = m.cell_centroid @ coef + 2.0
         grads = recon.lsq_gradient_3d(m, phi)
-        assert np.abs(grads - coef).max() < 1e-12
+        assert np.abs(grads.T - coef).max() < 1e-12
 
     def test_multicomponent_shape(self, m):
         field = np.stack([m.cell_centroid[:, 0],
                           m.cell_centroid[:, 1] * 2.0], axis=1)
         grads = recon.lsq_gradient_3d(m, field)
-        assert grads.shape == (m.n_cells, 2, 3)
-        assert np.abs(grads[:, 0, :] - [1.0, 0.0, 0.0]).max() < 1e-12
-        assert np.abs(grads[:, 1, :] - [0.0, 2.0, 0.0]).max() < 1e-12
+        assert grads.shape == (2, 3, m.n_cells)
+        assert np.abs(grads[0].T - [1.0, 0.0, 0.0]).max() < 1e-12
+        assert np.abs(grads[1].T - [0.0, 2.0, 0.0]).max() < 1e-12
 
     def test_operator_cached_on_mesh(self, m):
         a = recon._lsq_operator(m)
@@ -147,6 +147,26 @@ class TestLsqOperatorAgainstPerCellBuild:
             recon._lsq_operator(pair)
 
 
+class TestAugmentedStencilRankTests:
+    def test_each_grown_stencil_is_rank_tested_once(self, monkeypatch):
+        # one batched test of every face stencil, then one test per
+        # rank-deficient cell: its face stencil is known deficient, and on
+        # this mesh a single growth gives every such cell full rank
+        m = mesh.generate_tet_mesh(3, perturbation=0.2, seed=13)
+        results = []
+        full_rank = recon._full_rank
+
+        def counted(g):
+            results.append(full_rank(g))
+            return results[-1]
+        monkeypatch.setattr(recon, "_full_rank", counted)
+        recon._lsq_operator(m)
+        batched, per_cell = results[0], results[1:]
+        assert batched.shape == (m.n_cells,)
+        assert len(per_cell) == (~batched).sum() > 0
+        assert all(per_cell)
+
+
 def _normal_matrices(m):
     """(C, 3, 3) normal matrices of the face-neighbor stencils."""
     interior = m.interior_faces
@@ -183,12 +203,13 @@ class TestReconstructLR:
         fi = m.interior_faces
         o, k = m.face_owner[fi], m.face_neighbor[fi]
         xf = m.face_centroid[fi]
-        w_l, w_r = recon.reconstruct_lr(phi[o], grads[o], phi[k], grads[k],
-                                        xf - m.cell_centroid[o],
-                                        xf - m.cell_centroid[k])
+        w_l, w_r = recon.reconstruct_lr(phi[o].T, grads[..., o],
+                                        phi[k].T, grads[..., k],
+                                        (xf - m.cell_centroid[o]).T,
+                                        (xf - m.cell_centroid[k]).T)
         exact = (xf @ coef)[:, None]
-        assert np.abs(w_l - exact).max() < 1e-12
-        assert np.abs(w_r - exact).max() < 1e-12
+        assert np.abs(w_l.T - exact).max() < 1e-12
+        assert np.abs(w_r.T - exact).max() < 1e-12
 
 
 class TestAlphaDampedGradient:
@@ -202,17 +223,18 @@ class TestAlphaDampedGradient:
         nhat = m.face_normal[fi] / m.face_area[fi][:, None]
         x_o, x_k, xf = m.cell_centroid[o], m.cell_centroid[k], \
             m.face_centroid[fi]
-        w_l, w_r = recon.reconstruct_lr(phi[o], grads[o], phi[k], grads[k],
-                                        xf - x_o, xf - x_k)
+        w_l, w_r = recon.reconstruct_lr(phi[o].T, grads[..., o],
+                                        phi[k].T, grads[..., k],
+                                        (xf - x_o).T, (xf - x_k).T)
         dn = np.einsum("fd,fd->f", x_k - x_o, nhat)
-        gf = recon.alpha_damped_face_gradient(grads[o], grads[k], w_l, w_r,
-                                              dn, nhat)
-        assert np.abs(gf[:, 0, :] - coef).max() < 1e-11
+        gf = recon.alpha_damped_face_gradient(grads[..., o], grads[..., k],
+                                              w_l, w_r, dn, nhat.T)
+        assert np.abs(gf[0].T - coef).max() < 1e-11
 
     def test_degenerate_geometry_raises(self):
-        g = np.zeros((1, 1, 3))
+        g = np.zeros((1, 3, 1))
         w = np.zeros((1, 1))
-        nhat = np.array([[1.0, 0.0, 0.0]])
+        nhat = np.array([[1.0, 0.0, 0.0]]).T
         dn = np.array([0.0])  # x_k - x_j orthogonal to the face normal
         with pytest.raises(recon.DegenerateGeometryError):
             recon.alpha_damped_face_gradient(g, g, w, w, dn, nhat)

@@ -448,8 +448,9 @@ def coo_jacobian_ns3d(problem, w, cfl):
     nc = mesh.n_cells
     o, k = problem.f_owner, problem.f_neighbor
     area = problem.f_area
+    nhat = problem.f_nhat.T
     wf = 0.5 * (w[o] + w[k])
-    lam_c = np.abs(np.einsum("fd,fd->f", wf[:, 1:4], problem.f_nhat)) + \
+    lam_c = np.abs(np.einsum("fd,fd->f", wf[:, 1:4], nhat)) + \
         np.sqrt(wf[:, 4])
     mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
     d = np.linalg.norm(mesh.cell_centroid[k] - mesh.cell_centroid[o], axis=1)
@@ -466,8 +467,8 @@ def coo_jacobian_ns3d(problem, w, cfl):
         "fij,fjk->fik", c, solver._prim_from_cons_jacobian(wf))
 
     eye = np.eye(5)
-    a_o = physics.inviscid_flux_jacobian(w[o], problem.f_nhat)
-    a_k = physics.inviscid_flux_jacobian(w[k], problem.f_nhat)
+    a_o = physics.inviscid_flux_jacobian(w[o], nhat)
+    a_k = physics.inviscid_flux_jacobian(w[k], nhat)
     blk_o = 0.5 * area[:, None, None] * (a_o + lam_c[:, None, None] * eye) \
         + visc
     blk_k = 0.5 * area[:, None, None] * (a_k - lam_c[:, None, None] * eye) \
