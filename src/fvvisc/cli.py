@@ -39,7 +39,7 @@ ENV_PREFIX = "FVVISC_"
 #: perturbation, so single-family orders are seed-sensitive.  This seed was
 #: picked so that the finest pair of the default 1D family lands in band
 #: for every strategy that has a discrete solution; global slopes and other
-#: pairwise orders scatter far outside (see ROADMAP item 3 on ensembles).
+#: pairwise orders scatter far outside (see ROADMAP item 1 on ensembles).
 DEFAULT_SEED = 2604
 
 # Flat dotted-key schema: key -> (type tag, default).  Type tags:
@@ -111,7 +111,8 @@ def _format_value(key: str, value) -> str:
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse a key=value config file (# comments, dotted nested keys)."""
+    """Parse a key=value config file (# comments, dotted nested keys); an
+    empty value keeps the default None of the ``solver.*`` keys."""
     overrides = {}
     try:
         with open(path) as f:
@@ -128,7 +129,8 @@ def parse_config_file(path: str) -> dict:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _parse_value(key, raw) if raw else None
+        keeps_none = not raw and CONFIG_SCHEMA[key][1] is None
+        overrides[key] = None if keeps_none else _parse_value(key, raw)
     return overrides
 
 
@@ -183,7 +185,7 @@ class Problem:
     var_names: tuple        # orders are checked on the first
     half_width: float       # --check-orders band around the nominal order
     study: Callable         # verify.run_study_*
-    build: Callable         # (cfg, strategy) -> (problem, exact, volumes)
+    build: Callable         # (cfg, strategy) -> (problem, cell volumes)
     solve: Callable         # solver.solve_*
 
 
@@ -191,16 +193,14 @@ def _build_1d(cfg, strategy):
     grid = mesh.generate_grid_1d(cfg["grids"][0],
                                  perturbation=cfg["perturbation"],
                                  seed=cfg["seed"])
-    return (diffusion1d.Diffusion1DProblem(grid, strategy),
-            diffusion1d.exact_solution(grid.cell_centers), grid.cell_volumes)
+    return diffusion1d.Diffusion1DProblem(grid, strategy), grid.cell_volumes
 
 
 def _build_3d(cfg, strategy):
     m = mesh.generate_tet_mesh(cfg["grids"][0],
                                perturbation=cfg["perturbation"],
                                seed=cfg["seed"])
-    problem = ns3d.NS3DProblem(m, strategy)
-    return problem, problem.exact, m.cell_volume
+    return ns3d.NS3DProblem(m, strategy), m.cell_volume
 
 
 PROBLEMS = {
@@ -291,9 +291,9 @@ def _print_summary(records: dict, variable=0) -> None:
 # ---------------------------------------------------------------------------
 
 def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
-    """Reject grid, perturbation, seed and strategy values that the grid
-    generators and the studies cannot run, and (``single``) more than one
-    grid size or strategy."""
+    """Reject grid, perturbation, seed, strategy and output-directory values
+    that the grid generators and the studies cannot run, and (``single``)
+    more than one grid size or strategy."""
     grids = cfg["grids"]
     if not grids:
         raise ConfigError("grids is empty")
@@ -311,6 +311,8 @@ def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
         raise ConfigError(f"seed must be at least 0, got {cfg['seed']}")
     if not cfg["strategies"]:
         raise ConfigError("no strategies given")
+    if not cfg["out_dir"]:
+        raise ConfigError("out_dir is empty")
     for key in ("grids", "strategies") if single else ():
         if len(cfg[key]) > 1:
             raise ConfigError(f"solve takes one value of {key}, got "
@@ -323,8 +325,8 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     override the problem's defaults (OMEGA_STRATEGIES, SOLVE_DEFAULTS);
     ``single`` allows one grid size and one strategy only.  A layered
     ``problem`` other than the one that runs is rejected, so the effective
-    config never records a problem it did not run, and a regular run
-    records the perturbation it uses, 0."""
+    config never records a problem it did not run; a regular run records
+    the perturbation it uses, 0, and every run its solver values."""
     entry = PROBLEMS[problem]
     cfg = build_config(_cli_overrides(args), args.config,
                        {"problem": problem, **entry.defaults,
@@ -342,6 +344,8 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_run_values(cfg, entry, single)
+    cfg.update({key: getattr(solver_cfg, key.split(".", 1)[1])
+                for key in CONFIG_SCHEMA if key.startswith("solver.")})
     os.makedirs(cfg["out_dir"], exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg["out_dir"],
                                              "effective_config.cfg"))
@@ -376,7 +380,7 @@ def cmd_solve(args) -> int:
     cfg, strategies, solver_cfg = _prepare(args, problem, SOLVE_DEFAULTS,
                                            single=True)
     history_path = os.path.join(cfg["out_dir"], "history.csv")
-    built, exact, volumes = entry.build(cfg, strategies[0])
+    built, volumes = entry.build(cfg, strategies[0])
     try:
         u, history = entry.solve(built, solver_cfg)
     except solver.NonConvergenceError as exc:
@@ -387,7 +391,7 @@ def cmd_solve(args) -> int:
     np.savetxt(os.path.join(cfg["out_dir"], "solution.csv"),
                np.atleast_2d(np.asarray(u).T).T, delimiter=",",
                header=",".join(entry.var_names))
-    errors = verify.l1_error(u, exact,
+    errors = verify.l1_error(u, built.exact,
                              volumes if cfg["volume_weighted"] else None)
     print("l1 errors: " + " ".join(
         f"{v}={e:.6e}" for v, e in zip(entry.var_names, errors)))

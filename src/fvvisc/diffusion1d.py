@@ -38,11 +38,11 @@ class Diffusion1DProblem:
         self.pinned = np.zeros(n, dtype=bool)
         self.pinned[[0, -1]] = True
         x = self.grid.cell_centers
+        self.exact = exact_solution(x)
         self.forcing = forcing(x)
         self.source = self.forcing * self.grid.cell_volumes
-        # exact values of the pinned first and last cells (the slice holds
-        # the first and last cell centers)
-        self.boundary_values = exact_solution(x[::x.size - 1])
+        # exact values of the pinned first and last cells
+        self.boundary_values = self.exact[::x.size - 1]
         # face-to-centroid distances of the left and right cells, and the
         # cell-center spacing across each face
         xf = self.grid.face_coords

@@ -61,7 +61,6 @@ class Mesh3D:
     cells: np.ndarray          # (C, 4) vertex indices, positively oriented
     cell_centroid: np.ndarray  # (C, 3)
     cell_volume: np.ndarray    # (C,)
-    face_vertices: np.ndarray  # (F, 3) oriented outward from owner
     face_centroid: np.ndarray  # (F, 3)
     face_normal: np.ndarray    # (F, 3) scaled outward normal
     face_area: np.ndarray      # (F,)
@@ -80,9 +79,8 @@ class Mesh3D:
 
     def _freeze(self) -> None:
         for a in (self.vertices, self.cells, self.cell_centroid, self.cell_volume,
-                  self.face_vertices, self.face_centroid, self.face_normal,
-                  self.face_area, self.face_owner, self.face_neighbor,
-                  self.boundary_cell):
+                  self.face_centroid, self.face_normal, self.face_area,
+                  self.face_owner, self.face_neighbor, self.boundary_cell):
             a.setflags(write=False)
 
 
@@ -237,10 +235,10 @@ def build_mesh(vertices: np.ndarray, cells: np.ndarray) -> Mesh3D:
     boundary_cell[face_owner[face_neighbor < 0]] = True
 
     mesh = Mesh3D(vertices=vertices, cells=cells, cell_centroid=centroid,
-                  cell_volume=vol, face_vertices=face_vertices,
-                  face_centroid=face_centroid, face_normal=face_normal,
-                  face_area=face_area, face_owner=face_owner,
-                  face_neighbor=face_neighbor, boundary_cell=boundary_cell)
+                  cell_volume=vol, face_centroid=face_centroid,
+                  face_normal=face_normal, face_area=face_area,
+                  face_owner=face_owner, face_neighbor=face_neighbor,
+                  boundary_cell=boundary_cell)
     mesh._freeze()
     return mesh
 

@@ -155,32 +155,15 @@ def run_study_1d(strategies, sizes=GRID_SIZES_1D, perturbation: float = 0.3,
     solve is warm-started from the interpolated previous-level solution,
     which keeps the solver on the same solution branch across the family.
     """
-    if solver_cfg is None:
-        solver_cfg = solver.SolverConfig()
-    records = {}
-    for strat in _as_strategies(strategies):
-        rec = ConvergenceRecord(strat.name, VAR_NAMES_1D)
-        prev = None   # (grid, u) of the last converged level
-        for n in sizes:
-            grid = generate_grid_1d(n, perturbation=perturbation, seed=seed + n)
-            problem = diffusion1d.Diffusion1DProblem(grid, strat)
-            u0 = None
-            if prev is not None:
-                u0 = np.interp(grid.cell_centers, prev[0].cell_centers,
-                               prev[1])
-            try:
-                u, _ = solver.solve_diffusion_1d(problem, solver_cfg, u0=u0)
-                err = l1_error(u, diffusion1d.exact_solution(grid.cell_centers),
-                               grid.cell_volumes if volume_weighted else None)
-                prev = (grid, u)
-            except (solver.NonConvergenceError, solver.SolverDivergenceError) as exc:
-                log.warning("1D %s n=%d failed: %s", strat.name, n, exc)
-                err = np.full(1, np.nan)
-            rec.add_row(f"n{n}", n, 1.0 / n, err)
-        records[strat.name] = rec
-    if out_dir is not None:
-        write_study_csv(records, out_dir, "study-1d")
-    return records
+    def level(n, strat, prev):
+        grid = generate_grid_1d(n, perturbation=perturbation, seed=seed + n)
+        problem = diffusion1d.Diffusion1DProblem(grid, strat)
+        u0 = None if prev is None else np.interp(
+            grid.cell_centers, prev[0].grid.cell_centers, prev[1])
+        return problem, grid.cell_volumes, 1.0 / n, \
+            lambda: solver.solve_diffusion_1d(problem, solver_cfg, u0=u0)
+    return _run_study(strategies, sizes, level, VAR_NAMES_1D,
+                      volume_weighted, out_dir, "study-1d")
 
 
 def run_study_3d(strategies, sizes=GRID_SIZES_3D, perturbation: float = 0.1,
@@ -195,34 +178,46 @@ def run_study_3d(strategies, sizes=GRID_SIZES_3D, perturbation: float = 0.1,
     against the discretization error on the finest default grid; larger
     perturbations or looser drops visibly pollute the observed orders.
     """
-    if solver_cfg is None:
-        solver_cfg = solver.NS3D_CONFIG
     meshes = {n: generate_tet_mesh(n, perturbation=perturbation, seed=seed + n)
               for n in sizes}
+
+    def level(n, strat, prev):
+        problem = ns3d.NS3DProblem(meshes[n], strat)
+        return problem, meshes[n].cell_volume, meshes[n].n_cells ** (-1 / 3), \
+            lambda: solver.solve_ns3d(problem, solver_cfg)
+    return _run_study(strategies, sizes, level, VAR_NAMES_3D,
+                      volume_weighted, out_dir, "study-3d")
+
+
+def _run_study(strategies, sizes, level, var_names, volume_weighted,
+               out_dir, study_name):
+    """The strategy x level loop of both studies; a failed solve is a NaN row.
+
+    ``level(n, strategy, prev)`` returns the level's problem (which holds the
+    ``exact`` cell values), cell volumes, h_eff and a zero-argument solve;
+    ``prev`` is the (problem, solution) of the last converged level or None.
+    """
     records = {}
-    for strat in _as_strategies(strategies):
-        rec = ConvergenceRecord(strat.name, VAR_NAMES_3D)
+    for strat in [s if isinstance(s, Strategy) else Strategy.from_name(s)
+                  for s in strategies]:
+        rec = ConvergenceRecord(strat.name, var_names)
+        prev = None
         for n in sizes:
-            mesh = meshes[n]
-            problem = ns3d.NS3DProblem(mesh, strat)
+            problem, volumes, h_eff, solve = level(n, strat, prev)
             try:
-                w, _ = solver.solve_ns3d(problem, solver_cfg)
-                err = l1_error(w, problem.exact,
-                               mesh.cell_volume if volume_weighted else None)
+                sol, _ = solve()
+                err = l1_error(sol, problem.exact,
+                               volumes if volume_weighted else None)
+                prev = (problem, sol)
             except (solver.NonConvergenceError, solver.SolverDivergenceError) as exc:
-                log.warning("3D %s n=%d failed: %s", strat.name, n, exc)
-                err = np.full(5, np.nan)
-            nc = mesh.n_cells
-            rec.add_row(f"n{n}", nc, nc ** (-1.0 / 3.0), err)
+                log.warning("%s %s n=%d failed: %s", study_name, strat.name,
+                            n, exc)
+                err = np.full(len(var_names), np.nan)
+            rec.add_row(f"n{n}", volumes.size, h_eff, err)
         records[strat.name] = rec
     if out_dir is not None:
-        write_study_csv(records, out_dir, "study-3d")
+        write_study_csv(records, out_dir, study_name)
     return records
-
-
-def _as_strategies(strategies):
-    return [s if isinstance(s, Strategy) else Strategy.from_name(s)
-            for s in strategies]
 
 
 def write_study_csv(records: dict, out_dir: str, study_name: str):

@@ -90,18 +90,45 @@ RESIDUAL_KERNELS = (
     (physics, "roe_flux"), (physics, "viscous_normal_flux"))
 
 
-def test_residual_reaches_each_traced_kernel_once(monkeypatch):
-    # a kernel inlined into the residual would leave its traced per-layer
-    # metric reading 0 while every numerical test still passes
+def _count_calls(monkeypatch, targets) -> dict:
+    """Count the calls through each (module, attribute) of ``targets``."""
     calls = {}
-    for module, name in RESIDUAL_KERNELS:
+    for module, name in targets:
         fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_residual_reaches_each_traced_kernel_once(monkeypatch):
+    # a kernel inlined into the residual would leave its traced per-layer
+    # metric reading 0 while every numerical test still passes
+    calls = _count_calls(monkeypatch, RESIDUAL_KERNELS)
     m = mesh.generate_tet_mesh(3, perturbation=0.1, seed=3)
     problem = ns3d.NS3DProblem(m, Strategy.from_name("arithmetic"))
     ns3d.residual_ns3d(problem, problem.exact)
     assert calls == {name: 1 for _, name in RESIDUAL_KERNELS}
+
+
+# The studies must look these attributes up when they call them: the
+# tracer's mesh.cells and verify.solves count calls through the patched
+# attributes, and a reference taken at import would leave them reading 0.
+
+def test_1d_study_builds_a_grid_per_strategy_and_level(monkeypatch):
+    # the workload's traced mesh.cells is the cells of every grid it builds
+    calls = _count_calls(monkeypatch, ((verify, "generate_grid_1d"),
+                                       (solver, "solve_diffusion_1d")))
+    verify.run_study_1d(("arithmetic", "lr-average"), sizes=(7, 11))
+    assert calls == {"generate_grid_1d": 4, "solve_diffusion_1d": 4}
+
+
+def test_3d_study_shares_one_mesh_per_level(monkeypatch):
+    # each mesh carries its cached LSQ operator, built once for all
+    # strategies
+    calls = _count_calls(monkeypatch, ((verify, "generate_tet_mesh"),
+                                       (solver, "solve_ns3d")))
+    verify.run_study_3d(("arithmetic", "lr-average"), sizes=(2, 3))
+    assert calls == {"generate_tet_mesh": 2, "solve_ns3d": 4}

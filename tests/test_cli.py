@@ -81,6 +81,13 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.build_config({}, environ={"FVVISC_BOGUS": "1"})
 
+    def test_empty_solver_value_keeps_the_default(self, tmp_path):
+        # effective configs that recorded no solver values still reparse
+        path = tmp_path / "run.cfg"
+        path.write_text("solver.target_drop =\nsolver.max_iterations = \n")
+        assert cli.parse_config_file(str(path)) == {
+            "solver.target_drop": None, "solver.max_iterations": None}
+
     def test_effective_config_roundtrip(self, tmp_path):
         cfg = cli.build_config({"grids": [7, 11], "regular": True},
                                environ={"FVVISC_PERTURBATION": "0.2"})
@@ -210,6 +217,31 @@ class TestMainExitCodes:
         assert err == [f"config error: solve takes one value of {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,env,config,message", [
+        ([], {}, "seed =\n", "bad value for seed"),
+        ([], {}, "perturbation =\n", "bad value for perturbation"),
+        ([], {}, "strategies =\n", "no strategies given"),
+        ([], {}, "regular =\n", "bad value for regular"),
+        ([], {}, "out_dir =\n", "out_dir is empty"),
+        (["--out-dir", ""], {}, "", "out_dir is empty"),
+        ([], {"FVVISC_OUT_DIR": ""}, "", "out_dir is empty"),
+    ], ids=["seed", "perturbation", "strategies", "regular", "out_dir",
+            "out-dir-flag", "out-dir-environment"])
+    def test_empty_value_exits_2(self, tmp_path, capsys, monkeypatch, argv,
+                                 env, config, message):
+        monkeypatch.chdir(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        rc = cli.main(["study-1d", "--grids", "7,11", *argv])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {message}")
+        assert not list(tmp_path.rglob("effective_config.cfg"))
+
     def test_degenerate_mesh_is_a_config_error(self, tmp_path, capsys):
         # n = 5 at seed 1 and perturbation 0.3 inverts a tet
         rc = cli.main(["solve", "--problem", "ns3d", "--grids", "5",
@@ -299,6 +331,19 @@ class TestMainExitCodes:
         assert len(tables) == 5
         for name in tables:
             assert (first / name).read_bytes() == (again / name).read_bytes()
+
+    @pytest.mark.parametrize("argv,drop", [
+        (["solve", "--problem", "ns3d", "--grids", "3"], "7.0"),
+        (["study-1d", "--grids", "7,11"], "8.0"),
+    ], ids=["ns3d-solve", "study-1d"])
+    def test_effective_config_records_the_solver_values(self, tmp_path, argv,
+                                                         drop):
+        # a run that set no solver key still records when it stopped
+        rc = cli.main([*argv, "--out-dir", str(tmp_path)])
+        assert rc != cli.EXIT_CONFIG
+        cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
+        assert f"solver.target_drop = {drop}" in cfg
+        assert "solver.max_iterations = 2000" in cfg
 
     def test_order_band_violation_exits_4(self, tmp_path):
         # seed 1 is a known grid pair whose coarse pre-asymptotic order

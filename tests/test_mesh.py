@@ -156,8 +156,8 @@ def _reference_mesh_arrays(vertices, cells):
     boundary_cell = np.zeros(cells.shape[0], dtype=bool)
     boundary_cell[face_owner[face_neighbor < 0]] = True
     return dict(vertices=vertices, cells=cells, cell_centroid=p.mean(axis=1),
-                cell_volume=vol, face_vertices=face_vertices,
-                face_centroid=fp.mean(axis=1), face_normal=face_normal,
+                cell_volume=vol, face_centroid=fp.mean(axis=1),
+                face_normal=face_normal,
                 face_area=np.linalg.norm(face_normal, axis=1),
                 face_owner=face_owner, face_neighbor=face_neighbor,
                 boundary_cell=boundary_cell)
