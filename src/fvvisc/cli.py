@@ -290,10 +290,12 @@ def _print_summary(records: dict, variable=0) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
+def _check_run_values(cfg: dict, entry: Problem, single: bool,
+                      names: list) -> None:
     """Reject grid, perturbation, seed, strategy and output-directory values
     that the grid generators and the studies cannot run, and (``single``)
-    more than one grid size or strategy."""
+    more than one grid size or strategy.  ``names`` are the strategies'
+    names, which key their records and CSVs, so they must be distinct."""
     grids = cfg["grids"]
     if not grids:
         raise ConfigError("grids is empty")
@@ -311,6 +313,10 @@ def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
         raise ConfigError(f"seed must be at least 0, got {cfg['seed']}")
     if not cfg["strategies"]:
         raise ConfigError("no strategies given")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError("strategy names must be distinct; repeated: "
+                          + ", ".join(repeated))
     if not cfg["out_dir"]:
         raise ConfigError("out_dir is empty")
     for key in ("grids", "strategies") if single else ():
@@ -343,7 +349,7 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
         solver_cfg = dataclasses.replace(entry.solver_defaults, **solver_keys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_run_values(cfg, entry, single)
+    _check_run_values(cfg, entry, single, [s.name for s in strategies])
     cfg.update({key: getattr(solver_cfg, key.split(".", 1)[1])
                 for key in CONFIG_SCHEMA if key.startswith("solver.")})
     os.makedirs(cfg["out_dir"], exist_ok=True)

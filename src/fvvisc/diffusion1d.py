@@ -79,13 +79,14 @@ def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
     """
     d_j, d_k = problem.f_dist
     gx = gradient_1d(problem.grid, u)
+    sq = u ** 2
 
     uj, uk = u[..., :-1], u[..., 1:]
     gj, gk = gx[..., :-1], gx[..., 1:]
     u_l = uj + gj * d_j
     u_r = uk - gk * d_k
     dudx_f = face_derivative_1d(gj, gk, u_l, u_r, problem.f_spacing)
-    nu = face_scalar(problem.strategy, uj ** 2, uk ** 2, u_l ** 2,
+    nu = face_scalar(problem.strategy, sq[..., :-1], sq[..., 1:], u_l ** 2,
                      u_r ** 2, d_j, d_k)
     return nu * dudx_f
 
@@ -96,14 +97,17 @@ def residual_1d(problem: Diffusion1DProblem, u: np.ndarray,
 
     The physical flux of -d/dx(nu du/dx) = f is -phi with phi = nu u_x, so
     Res_j = phi_{j-1/2} - phi_{j+1/2} - f(x_j) h_j, which vanishes for the
-    exact discrete solution.  Like ``face_fluxes``, u may carry leading axes
-    of stacked states; the solver's Jacobian evaluates all its perturbed
-    states in one such call.
+    exact discrete solution.  The end cells have one face each:
+    Res_0 = (0 - phi_{1/2}) - f h and Res_{n-1} = phi_{n-3/2} - f h.  Like
+    ``face_fluxes``, u may carry leading axes of stacked states; the solver
+    evaluates each state it tries stacked with its perturbed states in one
+    such call.
     """
     phi = face_fluxes(problem, u)
-    res = np.zeros(np.shape(u))
-    res[..., :-1] -= phi
-    res[..., 1:] += phi
+    res = np.empty(np.shape(u))
+    np.subtract(phi[..., :-1], phi[..., 1:], out=res[..., 1:-1])
+    np.subtract(0.0, phi[..., 0], out=res[..., 0])
+    res[..., -1] = phi[..., -1]
     res -= problem.source
     if with_closure:
         res[..., problem.pinned] = 0.0

@@ -15,6 +15,7 @@ keep the cells on the last axis and broadcast over the leading ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,20 +76,30 @@ class Strategy:
         return self.tag
 
 
+@lru_cache(maxsize=None)
+def _gradient_pairs_1d(n):
+    """Read-only (hi, lo) cell pairs of the n-cell gradient stencil:
+    (j + 1, j - 1) inside, (1, 0) and (n - 1, n - 2) at the ends."""
+    cells = np.arange(n)
+    pairs = np.minimum(cells + 1, n - 1), np.maximum(cells - 1, 0)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def gradient_1d(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     """Cell gradients (u_x)_j = (u_{j+1} - u_{j-1}) / (x_{j+1} - x_{j-1}).
 
     Boundary cells use one-sided two-point differences, which are also exact
-    for linear fields.  The cells are the last axis of u.
+    for linear fields.  The cells are the last axis of u.  Every cell is
+    one gather-difference (u_hi - u_lo) / (x_hi - x_lo) over the stencil
+    pairs of ``_gradient_pairs_1d``.
     """
     if grid.n_cells < 3:
         raise ValueError("need at least 3 cells")
     x = grid.cell_centers
-    g = np.empty(np.shape(u))
-    g[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (x[2:] - x[:-2])
-    g[..., 0] = (u[..., 1] - u[..., 0]) / (x[1] - x[0])
-    g[..., -1] = (u[..., -1] - u[..., -2]) / (x[-1] - x[-2])
-    return g
+    hi, lo = _gradient_pairs_1d(grid.n_cells)
+    return (u.take(hi, axis=-1) - u.take(lo, axis=-1)) / (x[hi] - x[lo])
 
 
 def _lsq_operator(mesh: Mesh3D):

@@ -11,13 +11,13 @@ pseudo-time term whose CFL grows geometrically on accepted steps: the
 residual stencil is 5 cells wide (the central-difference gradients of
 ``recon.gradient_1d`` reach one cell past each face neighbor), so 5
 perturbed states fill the pentadiagonal band, bit-identical to perturbing
-one column at a time.  Each state the solve tries is evaluated once,
-stacked with its 5 perturbed states: row 0 is the trial residual, and a
-Jacobian built at that state (after every accepted step) reuses the whole
-stack, so a build evaluates the residual itself only when it is rebuilt at
-an older state after a rejected step.  The builds of one solve write one
-CSC matrix in place, and each banded system is solved by sparse LU
-(SuperLU).
+one column at a time.  Each state the solve tries is evaluated once, ever,
+stacked with its 5 perturbed states: row 0 is the trial residual, and every
+Jacobian built at that state reuses the whole stack and its difference
+steps, whether it is built after the step that accepted the state or
+rebuilt after any run of rejected steps, so a build makes no residual call.
+The builds of one solve write one CSC matrix in place, and each banded
+system is solved by sparse LU (SuperLU).
 
 3D: inexact Newton-Krylov from the manufactured solution.  The MMS problem
 is nearly linear around ``problem.exact``, so the solve starts there and
@@ -31,6 +31,7 @@ The residual target is still set by the free-stream state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -190,7 +191,7 @@ class _LinearSolver:
         x = np.zeros_like(c)
         for _ in range(self.sweeps):
             for s, e, t in self._colors:
-                x[s:e] = c[s:e] - t @ x
+                np.subtract(c[s:e], t @ x, out=x[s:e])
         out = np.empty((len(self._order), _BLOCK))
         out[self._order] = x.reshape(-1, _BLOCK)
         return out.ravel()
@@ -266,9 +267,9 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
     cfl = cfl0
     lin = None
     built = (None, -1)          # (cfl used for the factored Jacobian, iter)
+    cur = float((norms / norms0).max())
     for it in range(cfg.max_iterations + 1):
-        cur = float(np.max(norms / norms0))
-        if it >= min_steps and (cur <= target or np.max(norms) <= 1e-14):
+        if it >= min_steps and (cur <= target or norms.max() <= 1e-14):
             history.append(it, norms, cfl)
             return u, history
         if it == cfg.max_iterations:
@@ -284,22 +285,22 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
                 du = lin.solve(-res.ravel())
             else:
                 du = _krylov_step(matvec_fn(u, res), lin, -res.ravel())
-            du = du.reshape(np.shape(res))
+            du = du.reshape(res.shape)
             try:
                 u_new = apply_update_fn(u, du)
                 res_new = residual_fn(u_new)
                 norms_new = l1_norm_fn(res_new)
-                new = float(np.max(norms_new / norms0))
-                ok = np.isfinite(new) and new <= 2.5 * max(cur, 1e-12)
-                reason = (f"residual rose from {cur:.3g} to {new:.3g} of the "
-                          "reference level")
+                new = float((norms_new / norms0).max())
             except (SolverDivergenceError, FloatingPointError,
                     physics.InvalidStateError,
                     physics.NonpositiveTemperatureError) as exc:
-                ok, reason = False, f"{type(exc).__name__}: {exc}"
-            if ok:
-                accepted = True
-                break
+                reason = f"{type(exc).__name__}: {exc}"
+            else:
+                if math.isfinite(new) and new <= 2.5 * max(cur, 1e-12):
+                    accepted = True
+                    break
+                reason = (f"residual rose from {cur:.3g} to {new:.3g} of the "
+                          "reference level")
             cfl = max(cfl / 4.0, 1e-3)
             lin = None
         if not accepted:
@@ -309,7 +310,7 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
                 f"last: {reason}", history)
         history.append(it, norms, cfl)
         cfl = min(cfl * 2.0, _CFL_MAX)
-        u, res, norms = u_new, res_new, norms_new
+        u, res, norms, cur = u_new, res_new, norms_new, new
     history.append(cfg.max_iterations, norms, cfl)
     raise NonConvergenceError(
         f"residual drop of {cfg.target_drop} orders not reached in "
@@ -336,7 +337,8 @@ class _Band1D:
     ``colored`` is the position of entry (minor i, major j) in the
     (colors, n) array of colored differences, (j mod 5) n + i; ``diag`` the
     position of each cell's diagonal entry; ``scatter`` the flat position
-    of each cell's perturbation in the (colors, n) array, (j mod 5) n + j.
+    of each cell's perturbation in the (1 + colors, n) stack of a state on
+    its colored perturbations, (1 + j mod 5) n + j.
     """
 
     major: np.ndarray
@@ -360,7 +362,7 @@ def _band_pattern_1d(n):
     band = _Band1D(major, minor.astype(np.int32), indptr,
                    major % _COLORS_1D * n + minor,
                    np.flatnonzero(major == minor),
-                   cells % _COLORS_1D * n + cells)
+                   (1 + cells % _COLORS_1D) * n + cells)
     for a in vars(band).values():
         a.setflags(write=False)
     return band
@@ -371,17 +373,18 @@ def _fd_step_1d(u):
     return 1e-7 * np.maximum(1.0, np.abs(u))
 
 
-def _colored_states_1d(u):
+def _colored_states_1d(u, step):
     """u stacked on its colored perturbations: row 0 is u, row 1 + c
-    perturbs columns c, c+5, c+10, ... by their difference steps (5 colors,
-    fewer when n < 5)."""
+    perturbs columns c, c+5, c+10, ... by their difference steps ``step``
+    (5 colors, fewer when n < 5)."""
     n = u.size
-    pert = np.zeros(min(_COLORS_1D, n) * n)
-    pert[_band_pattern_1d(n).scatter] = _fd_step_1d(u)
-    return np.concatenate((u[None], u + pert.reshape(-1, n)))
+    states = np.empty((1 + min(_COLORS_1D, n), n))
+    states[...] = u
+    states.reshape(-1)[_band_pattern_1d(n).scatter] = u + step
+    return states
 
 
-def _jacobian_1d(problem, u, cfl, res=None, out=None):
+def _jacobian_1d(problem, u, cfl, res=None, step=None, out=None):
     """Column-colored finite-difference Jacobian of the full nonlinear
     residual plus the pseudo-time diagonal, as a pentadiagonal CSC matrix.
 
@@ -391,12 +394,12 @@ def _jacobian_1d(problem, u, cfl, res=None, out=None):
     the perturbed states (``_colored_states_1d``) go through one stacked
     evaluation of the residual, which is elementwise, so each entry is
     bit-identical to the per-column difference with the same step
-    1e-7 max(1, |u_j|).  ``res`` is that stacked residual when the caller
-    has it already (the 1D solve evaluates every state it tries this way,
-    so a Jacobian at an accepted state costs no residual call); without it
-    the build evaluates it.  Numerically zero entries are dropped, so the
-    sparsity structure (which SuperLU's column ordering sees) matches that
-    of the dense matrix.
+    1e-7 max(1, |u_j|).  ``res`` and ``step`` are that stacked residual and
+    those steps when the caller has them already (the 1D solve evaluates
+    each state it tries this way once, ever, so its builds cost no residual
+    call); without them the build computes them.  Numerically zero entries are
+    dropped, so the sparsity structure (which SuperLU's column ordering
+    sees) matches that of the dense matrix.
 
     The result is a new matrix, or ``out`` (a CSC matrix of the same shape
     from an earlier build) with its data, indices and index pointer
@@ -412,22 +415,22 @@ def _jacobian_1d(problem, u, cfl, res=None, out=None):
     grid = problem.grid
     n = grid.n_cells
     band = _band_pattern_1d(n)
+    if step is None:
+        step = _fd_step_1d(u)
     if res is None:
-        res = diffusion1d.residual_1d(problem, _colored_states_1d(u))
-    data = ((res[1:] - res[0]).ravel()[band.colored]
-            / _fd_step_1d(u)[band.major])
+        res = diffusion1d.residual_1d(problem, _colored_states_1d(u, step))
+    data = (res[1:] - res[0]).take(band.colored) / step.take(band.major)
     # pseudo-time: dt = cfl h^2 / nu, floored so the diagonal never vanishes
     # at the u = 0 degeneracy of nu = u^2.  Pinned rows of the residual are
     # zero in every state, so their differences are zero already and only
     # their diagonal is set.
     data[band.diag] += np.maximum(u ** 2, 1e-3) / (cfl * grid.cell_volumes)
     data[band.diag[problem.pinned]] = 1.0
-    # drop zero entries as eliminate_zeros would; kept[k] counts the entries
-    # kept before band position k, so kept[indptr] is the new index pointer
-    nonzero = data != 0.0
-    kept = np.zeros(data.size + 1, dtype=np.int32)
-    np.cumsum(nonzero, out=kept[1:])
-    arrays = (data[nonzero], band.minor[nonzero], kept[band.indptr])
+    # drop zero entries as eliminate_zeros would; the kept positions before
+    # each column's first band position give the new index pointer
+    kept = data.nonzero()[0]
+    arrays = (data[kept], band.minor[kept],
+              kept.searchsorted(band.indptr).astype(np.int32))
     if out is None:
         return sp.csc_matrix(arrays, shape=(n, n))
     out.data, out.indices, out.indptr = arrays
@@ -438,38 +441,52 @@ def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
                        u0: np.ndarray | None = None):
     """Drive the 1D problem to steady state; returns (u, history).
 
-    The last state the loop evaluated is kept with its stacked residual
-    (``_colored_states_1d``), which a Jacobian built at that state reuses;
-    all builds of one solve share one CSC container.
+    Each state the loop tries is evaluated once, ever: its difference steps
+    and the stacked residual of ``_colored_states_1d`` are kept for the last
+    trial and for the state the Jacobian was last built at, so a build at an
+    accepted state, and every rebuild after a run of rejected steps, costs
+    no residual call.  All builds of one solve share one CSC container.
     """
     if cfg is None:
         cfg = SolverConfig()
     if u0 is None:
         u0 = problem.initial_state()
     u0 = diffusion1d.apply_boundary_closure(problem, u0)
-    unpinned = ~problem.pinned
-    evaluated = (None, None)     # (last state evaluated, its stacked residual)
+    # (state, its difference steps, its stacked residual)
+    trial = base = (None, None, None)
     container = None
 
+    def evaluate(u):
+        step = _fd_step_1d(u)
+        return u, step, diffusion1d.residual_1d(problem,
+                                                _colored_states_1d(u, step))
+
     def res_fn(u):
-        nonlocal evaluated
-        evaluated = (u, diffusion1d.residual_1d(problem,
-                                                _colored_states_1d(u)))
-        return evaluated[1][0]
+        nonlocal trial
+        trial = evaluate(u)
+        return trial[2][0]
 
     def jac_fn(u, cfl):
-        nonlocal container
-        state, res = evaluated
-        container = _jacobian_1d(problem, u, cfl,
-                                 res=res if u is state else None,
+        nonlocal base, container
+        if u is trial[0]:
+            base = trial
+        elif u is not base[0]:
+            # a state the loop accepted without a build (jacobian_lag > 1)
+            base = evaluate(u)
+        container = _jacobian_1d(problem, u, cfl, res=base[2], step=base[1],
                                  out=container)
         return container
 
     def norm_fn(res):
-        return np.array([np.abs(res[unpinned]).mean()])
+        # mean over the unpinned cells, which are the interior ones
+        return np.abs(res[1:-1]).sum(keepdims=True) / (res.size - 2)
 
     def update_fn(u, du):
-        return diffusion1d.apply_boundary_closure(problem, u + du)
+        # pin the first and last cells of the fresh sum, as
+        # apply_boundary_closure does, without copying it again
+        u_new = u + du
+        u_new[::u_new.size - 1] = problem.boundary_values
+        return u_new
 
     return solve_defect_correction(res_fn, jac_fn, u0, norm_fn, update_fn,
                                    cfg)

@@ -183,6 +183,16 @@ class TestMainExitCodes:
         (["solve", "--seed", "-1"], "seed must be at least 0"),
         (["study-1d", "--strategies", ",", "--grids", "7,11"],
          "no strategies given"),
+        (["study-1d", "--strategies", "arithmetic,arithmetic",
+          "--grids", "7,11"], "strategy names must be distinct; "
+         "repeated: arithmetic"),
+        (["study-1d", "--strategies",
+          "weighted:0.1234567,lr-average,weighted:0.1234568",
+          "--grids", "7,11"], "strategy names must be distinct; "
+         "repeated: weighted:0.123457"),
+        (["study-1d-omega", "--strategies", "weighted,weighted:0.5",
+          "--grids", "7,11"], "strategy names must be distinct; "
+         "repeated: weighted:0.5"),
     ])
     def test_malformed_run_value_exits_2(self, tmp_path, capsys, argv,
                                          message):

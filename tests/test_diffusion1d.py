@@ -123,6 +123,64 @@ class TestStackedStates:
                 diffusion1d.residual_1d(p, u, with_closure=False))
 
 
+def reference_gradient(grid, u):
+    """Slice-form central differences with one-sided ends, written into a
+    fresh array: the reference for ``recon.gradient_1d``'s gather form."""
+    x = grid.cell_centers
+    g = np.empty(np.shape(u))
+    g[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (x[2:] - x[:-2])
+    g[..., 0] = (u[..., 1] - u[..., 0]) / (x[1] - x[0])
+    g[..., -1] = (u[..., -1] - u[..., -2]) / (x[-1] - x[-2])
+    return g
+
+
+def reference_residual(problem, u, with_closure=True):
+    """Face fluxes from ``reference_gradient``, assembled into a zero-filled
+    array: the reference for ``residual_1d``'s one-pass assembly."""
+    d_j, d_k = problem.f_dist
+    gx = reference_gradient(problem.grid, u)
+    uj, uk = u[..., :-1], u[..., 1:]
+    gj, gk = gx[..., :-1], gx[..., 1:]
+    u_l = uj + gj * d_j
+    u_r = uk - gk * d_k
+    dudx_f = recon.face_derivative_1d(gj, gk, u_l, u_r, problem.f_spacing)
+    nu = recon.face_scalar(problem.strategy, uj ** 2, uk ** 2, u_l ** 2,
+                           u_r ** 2, d_j, d_k)
+    phi = nu * dudx_f
+    res = np.zeros(np.shape(u))
+    res[..., :-1] -= phi
+    res[..., 1:] += phi
+    res -= problem.source
+    if with_closure:
+        res[..., problem.pinned] = 0.0
+    return res
+
+
+class TestAgainstReference:
+    """The gather-form gradient and the one-pass residual assembly are
+    bit-identical to the slice-form, zero-filled references above."""
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 31])
+    @pytest.mark.parametrize("strategy", [
+        "lr-average", "arithmetic", "inverse-distance", "one-sided-left",
+        "one-sided-right", "weighted:0.75"])
+    def test_bit_identical_to_reference(self, strategy, n):
+        p = make_problem(n=n, strategy=strategy, seed=n + 1)
+        rng = np.random.default_rng(n + 1)
+        ue = diffusion1d.exact_solution(p.grid.cell_centers)
+        stack = ue * (1.0 + 0.1 * rng.standard_normal((6, n)))
+        for u in (stack, stack[2]):
+            got = recon.gradient_1d(p.grid, u)
+            ref = reference_gradient(p.grid, u)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+            for closure in (True, False):
+                got = diffusion1d.residual_1d(p, u, with_closure=closure)
+                ref = reference_residual(p, u, with_closure=closure)
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref)
+
+
 class TestClosure:
     def test_boundary_closure_pins_exact_values(self):
         p = make_problem(n=9, seed=8)

@@ -197,16 +197,20 @@ class TestColoredJacobian1D:
 
     def test_every_study_build_matches_a_fresh_build(self, monkeypatch):
         """Builds that reuse the solve's stacked residual and container,
-        and rebuilds after a rejected step, equal a fresh build at the same
+        both right after the step that accepted their state and as rebuilds
+        at that state after rejected steps, equal a fresh build at the same
         state.  The family reaches n = 95 builds that drop a data-dependent
         zero: 464 entries against the 465 of the band minus the pinned
         rows' off-diagonal entries."""
         original = solver._jacobian_1d
         builds = []
+        last = [None]
 
         def recorded(problem, u, cfl, **kwargs):
             mat = original(problem, u, cfl, **kwargs)
-            builds.append((problem, u.copy(), cfl, kwargs["res"] is None,
+            rebuild = u is last[0]
+            last[0] = u
+            builds.append((problem, u.copy(), cfl, rebuild,
                            mat.data.copy(), mat.indices.copy(),
                            mat.indptr.copy()))
             return mat
@@ -216,7 +220,7 @@ class TestColoredJacobian1D:
                             sizes=(7, 11, 15, 19, 23, 31, 47, 63, 95),
                             seed=9000)
         monkeypatch.undo()
-        assert {own for _, _, _, own, *_ in builds} == {False, True}
+        assert {rebuild for _, _, _, rebuild, *_ in builds} == {False, True}
         dropped = 0
         for problem, u, cfl, _, data, indices, indptr in builds:
             fresh = solver._jacobian_1d(problem, u, cfl)
@@ -252,13 +256,16 @@ class TestColoredJacobian1D:
     @pytest.mark.parametrize("n,seed", [(3, 0), (4, 0), (7, 1), (11, 0)])
     def test_one_stacked_residual_per_evaluated_state(self, monkeypatch, n,
                                                       seed):
-        """A solve evaluates each state it tries once, stacked with its
-        colored perturbations, plus the start, plus one rebuild at the
-        older state after each rejected step."""
+        """A solve evaluates each state it tries once, ever, stacked with
+        its colored perturbations: the start plus one per step attempt.
+        Every case rebuilds at one state after two or more consecutive
+        rejected steps, and those rebuilds reuse that state's stack."""
         p = make_1d(n=n, strategy="one-sided-left", seed=seed)
         shapes = []
+        built_at = []
         attempts = 0
         residual, solve = diffusion1d.residual_1d, solver._LinearSolver.solve
+        jacobian = solver._jacobian_1d
 
         def counted(problem, u, *args, **kwargs):
             shapes.append(np.shape(u))
@@ -269,13 +276,64 @@ class TestColoredJacobian1D:
             attempts += 1
             return solve(self, rhs)
 
+        def recorded_build(problem, u, cfl, **kwargs):
+            built_at.append(u)
+            return jacobian(problem, u, cfl, **kwargs)
+
         monkeypatch.setattr(diffusion1d, "residual_1d", counted)
         monkeypatch.setattr(solver._LinearSolver, "solve", counted_solve)
+        monkeypatch.setattr(solver, "_jacobian_1d", recorded_build)
         _, hist = solver.solve_diffusion_1d(p)
-        rejected = attempts - hist.iterations[-1][0]
-        assert rejected > 0
-        assert len(shapes) == 1 + attempts + rejected
+        # builds in a row at one state: 1 + the rejected steps in a row
+        run = longest = 1
+        for prev, u in zip(built_at, built_at[1:]):
+            run = run + 1 if u is prev else 1
+            longest = max(longest, run)
+        assert longest >= 3
+        assert attempts > hist.iterations[-1][0]
+        assert len(shapes) == 1 + attempts
         assert set(shapes) == {(min(5, n) + 1, n)}
+
+    def test_a_build_at_any_evaluated_state_matches_a_fresh_build(
+            self, monkeypatch):
+        """The solve's Jacobian equals a fresh build at whichever state the
+        loop builds it: the last trial, the state of the last build after
+        later trials, or an accepted state never built at (reachable with
+        ``jacobian_lag`` > 1), which alone costs a residual call."""
+        p = make_1d(n=11, seed=3)
+        s0, s1, s2 = (perturbed_state(p, seed=k) for k in range(3))
+        residual = diffusion1d.residual_1d
+        calls = []
+        builds = []
+
+        def counted(problem, u, *args, **kwargs):
+            calls.append(u)
+            return residual(problem, u, *args, **kwargs)
+
+        def loop(res_fn, jac_fn, u0, *args, **kwargs):
+            def build(u, cfl):
+                mat = jac_fn(u, cfl)
+                builds.append((u, cfl, mat.data.copy(), mat.indices.copy(),
+                               mat.indptr.copy(), len(calls)))
+            res_fn(s0)
+            build(s0, 10.0)         # the last trial
+            res_fn(s1)
+            res_fn(s2)
+            build(s0, 2.5)          # the last build's state, after 2 trials
+            build(s1, 5.0)          # an older trial, never built at
+            build(s1, 1.25)
+            return u0, None
+
+        monkeypatch.setattr(diffusion1d, "residual_1d", counted)
+        monkeypatch.setattr(solver, "solve_defect_correction", loop)
+        solver.solve_diffusion_1d(p)
+        monkeypatch.undo()
+        assert [n_calls for *_, n_calls in builds] == [1, 3, 4, 4]
+        for u, cfl, data, indices, indptr, _ in builds:
+            fresh = solver._jacobian_1d(p, u, cfl)
+            assert np.array_equal(fresh.data, data)
+            assert np.array_equal(fresh.indices, indices)
+            assert np.array_equal(fresh.indptr, indptr)
 
 
 class TestLinearSolver:
