@@ -43,8 +43,8 @@ ENV_PREFIX = "FVVISC_"
 DEFAULT_SEED = 2604
 
 # Flat dotted-key schema: key -> (type tag, default).  Type tags:
-# int, float, bool, str, int-list, float-list, str-list.  The defaults are
-# those of the diffusion1d problem; PROBLEMS overrides them per problem.
+# int, float, bool, str, int-list, str-list.  The defaults are those of the
+# diffusion1d problem; PROBLEMS overrides them per problem.
 CONFIG_SCHEMA = {
     "problem": ("str", "diffusion1d"),
     "grids": ("int-list", list(verify.GRID_SIZES_1D)),
@@ -55,7 +55,6 @@ CONFIG_SCHEMA = {
     "perturbation": ("float", 0.3),
     "seed": ("int", DEFAULT_SEED),
     "out_dir": ("str", "out"),
-    "volume_weighted": ("bool", False),
     "solver.target_drop": ("float", None),
     "solver.max_iterations": ("int", None),
 }
@@ -101,8 +100,7 @@ def _format_value(key: str, value) -> str:
     if value is None:
         return ""
     if kind.endswith("-list"):
-        return ",".join(f"{v:g}" if isinstance(v, float) else str(v)
-                        for v in value)
+        return ",".join(str(v) for v in value)
     if kind == "bool":
         return "true" if value else "false"
     if kind == "float":
@@ -185,7 +183,7 @@ class Problem:
     var_names: tuple        # orders are checked on the first
     half_width: float       # --check-orders band around the nominal order
     study: Callable         # verify.run_study_*
-    build: Callable         # (cfg, strategy) -> (problem, cell volumes)
+    build: Callable         # (cfg, strategy) -> problem
     solve: Callable         # solver.solve_*
 
 
@@ -193,14 +191,14 @@ def _build_1d(cfg, strategy):
     grid = mesh.generate_grid_1d(cfg["grids"][0],
                                  perturbation=cfg["perturbation"],
                                  seed=cfg["seed"])
-    return diffusion1d.Diffusion1DProblem(grid, strategy), grid.cell_volumes
+    return diffusion1d.Diffusion1DProblem(grid, strategy)
 
 
 def _build_3d(cfg, strategy):
     m = mesh.generate_tet_mesh(cfg["grids"][0],
                                perturbation=cfg["perturbation"],
                                seed=cfg["seed"])
-    return ns3d.NS3DProblem(m, strategy), m.cell_volume
+    return ns3d.NS3DProblem(m, strategy)
 
 
 PROBLEMS = {
@@ -367,8 +365,7 @@ def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
         args, problem, {"strategies": OMEGA_STRATEGIES} if omega_sweep else {})
     records = entry.study(
         strategies, sizes=cfg["grids"], perturbation=cfg["perturbation"],
-        seed=cfg["seed"], solver_cfg=solver_cfg,
-        volume_weighted=cfg["volume_weighted"], out_dir=cfg["out_dir"])
+        seed=cfg["seed"], solver_cfg=solver_cfg, out_dir=cfg["out_dir"])
     variable = entry.var_names[0]
     _print_summary(records, variable)
     half = entry.half_width
@@ -386,7 +383,7 @@ def cmd_solve(args) -> int:
     cfg, strategies, solver_cfg = _prepare(args, problem, SOLVE_DEFAULTS,
                                            single=True)
     history_path = os.path.join(cfg["out_dir"], "history.csv")
-    built, volumes = entry.build(cfg, strategies[0])
+    built = entry.build(cfg, strategies[0])
     try:
         u, history = entry.solve(built, solver_cfg)
     except solver.NonConvergenceError as exc:
@@ -397,8 +394,7 @@ def cmd_solve(args) -> int:
     np.savetxt(os.path.join(cfg["out_dir"], "solution.csv"),
                np.atleast_2d(np.asarray(u).T).T, delimiter=",",
                header=",".join(entry.var_names))
-    errors = verify.l1_error(u, built.exact,
-                             volumes if cfg["volume_weighted"] else None)
+    errors = verify.l1_error(u, built.exact)
     print("l1 errors: " + " ".join(
         f"{v}={e:.6e}" for v, e in zip(entry.var_names, errors)))
     return EXIT_OK
@@ -450,10 +446,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--perturbation",
                    help="relative node-perturbation amplitude")
     p.add_argument("--out-dir", help="output directory")
-    p.add_argument("--volume-weighted", action="store_const", const="true",
-                   help="volume-weighted L1 error norm")
-    p.add_argument("--check-orders", action="store_true",
-                   help="exit 4 if finest-pair orders leave the nominal bands")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key (repeatable)")
 
@@ -465,19 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "coefficients in cell-centered finite-volume schemes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("study-1d", help="1D nonlinear-diffusion study")
-    _add_common(p)
-    p.set_defaults(fn=functools.partial(cmd_study, problem="diffusion1d"))
-
-    p = sub.add_parser("study-1d-omega",
-                       help="1D weighted-average omega sweep")
-    _add_common(p)
-    p.set_defaults(fn=functools.partial(cmd_study, problem="diffusion1d",
-                                        omega_sweep=True))
-
-    p = sub.add_parser("study-3d", help="3D Navier-Stokes MMS study")
-    _add_common(p)
-    p.set_defaults(fn=functools.partial(cmd_study, problem="ns3d"))
+    for name, help_, problem, omega_sweep in (
+            ("study-1d", "1D nonlinear-diffusion study", "diffusion1d", False),
+            ("study-1d-omega", "1D weighted-average omega sweep",
+             "diffusion1d", True),
+            ("study-3d", "3D Navier-Stokes MMS study", "ns3d", False)):
+        p = sub.add_parser(name, help=help_)
+        _add_common(p)
+        p.add_argument("--check-orders", action="store_true",
+                       help="exit 4 if finest-pair orders leave the nominal "
+                            "bands")
+        p.set_defaults(fn=functools.partial(cmd_study, problem=problem,
+                                            omega_sweep=omega_sweep))
 
     p = sub.add_parser("solve", help="one grid size and one strategy, with "
                        "iteration history")

@@ -63,7 +63,10 @@ class SolverConfig:
     > 0 applies that many sweeps of multicolor block Gauss-Seidel on 5x5
     cell blocks instead (in 3D, the sweeps are the GMRES preconditioner).
     ``jacobian_lag`` reuses the factored Jacobian (in 3D, the
-    preconditioner) for that many nonlinear iterations.
+    preconditioner) for at most that many accepted nonlinear iterations.
+    A CFL change of a factor of two or more rebuilds it sooner, so the lag
+    takes effect only once the CFL sits at its cap (see
+    ``solve_defect_correction``).
     """
 
     target_drop: float = 8.0
@@ -247,9 +250,12 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
     raise NonConvergenceError with the last reason.  An absolute L1 residual
     of 1e-14 also counts as converged.  ``cfg.max_iterations`` caps the
     steps; the state after the last allowed step is still checked.  The
-    Jacobian is rebuilt at most every ``jacobian_lag`` accepted iterations or
-    when the CFL moves by more than a factor of two since the last
-    factorization.
+    Jacobian is rebuilt at least every ``jacobian_lag`` accepted iterations,
+    after every rejected step, and whenever the CFL has changed by a factor
+    of two or more since the last factorization (the ratio leaves (0.5, 2)).
+    Each accepted step doubles the CFL, so below the 1e8 cap every accepted
+    step rebuilds; the lag takes effect only at the cap, which is where the
+    3D solve runs.
     """
     history = IterationHistory()
     u = u0

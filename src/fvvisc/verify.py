@@ -29,25 +29,17 @@ class DegenerateOrderError(Exception):
     """Observed order is undefined (zero error row or too few rows)."""
 
 
-def l1_error(solution: np.ndarray, exact: np.ndarray,
-             volumes: np.ndarray | None = None) -> np.ndarray:
-    """Per-variable L1 norm of the discretization error.
+def l1_error(solution: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """Per-variable L1 norm of the discretization error: the cell mean.
 
-    Unweighted cell average by default; pass ``volumes`` for a
-    volume-weighted integral norm (orders are identical for shape-regular
-    families, only constants shift).  Arrays are (N,) or (N, m); returns a
-    length-m array (m = 1 for 1D).
+    Arrays are (N,) or (N, m); returns a length-m array (m = 1 for 1D).
     """
     solution = np.atleast_2d(np.asarray(solution, dtype=float).T).T
     exact = np.atleast_2d(np.asarray(exact, dtype=float).T).T
     if solution.shape != exact.shape:
         raise ValueError(
             f"shape mismatch: {solution.shape} vs {exact.shape}")
-    err = np.abs(solution - exact)
-    if volumes is None:
-        return err.mean(axis=0)
-    volumes = np.asarray(volumes, dtype=float)
-    return (err * volumes[:, None]).sum(axis=0) / volumes.sum()
+    return np.abs(solution - exact).mean(axis=0)
 
 
 @dataclass
@@ -146,7 +138,6 @@ GRID_SIZES_3D = (7, 11, 15)
 def run_study_1d(strategies, sizes=GRID_SIZES_1D, perturbation: float = 0.3,
                  seed: int = 0,
                  solver_cfg: solver.SolverConfig | None = None,
-                 volume_weighted: bool = False,
                  out_dir: str | None = None):
     """1D nonlinear-diffusion convergence study; returns {name: record}.
 
@@ -160,16 +151,15 @@ def run_study_1d(strategies, sizes=GRID_SIZES_1D, perturbation: float = 0.3,
         problem = diffusion1d.Diffusion1DProblem(grid, strat)
         u0 = None if prev is None else np.interp(
             grid.cell_centers, prev[0].grid.cell_centers, prev[1])
-        return problem, grid.cell_volumes, 1.0 / n, \
+        return problem, 1.0 / n, \
             lambda: solver.solve_diffusion_1d(problem, solver_cfg, u0=u0)
-    return _run_study(strategies, sizes, level, VAR_NAMES_1D,
-                      volume_weighted, out_dir, "study-1d")
+    return _run_study(strategies, sizes, level, VAR_NAMES_1D, out_dir,
+                      "study-1d")
 
 
 def run_study_3d(strategies, sizes=GRID_SIZES_3D, perturbation: float = 0.1,
                  seed: int = 0,
                  solver_cfg: solver.SolverConfig | None = None,
-                 volume_weighted: bool = False,
                  out_dir: str | None = None):
     """3D Navier-Stokes MMS convergence study; returns {name: record}.
 
@@ -183,19 +173,19 @@ def run_study_3d(strategies, sizes=GRID_SIZES_3D, perturbation: float = 0.1,
 
     def level(n, strat, prev):
         problem = ns3d.NS3DProblem(meshes[n], strat)
-        return problem, meshes[n].cell_volume, meshes[n].n_cells ** (-1 / 3), \
+        return problem, meshes[n].n_cells ** (-1 / 3), \
             lambda: solver.solve_ns3d(problem, solver_cfg)
-    return _run_study(strategies, sizes, level, VAR_NAMES_3D,
-                      volume_weighted, out_dir, "study-3d")
+    return _run_study(strategies, sizes, level, VAR_NAMES_3D, out_dir,
+                      "study-3d")
 
 
-def _run_study(strategies, sizes, level, var_names, volume_weighted,
-               out_dir, study_name):
+def _run_study(strategies, sizes, level, var_names, out_dir, study_name):
     """The strategy x level loop of both studies; a failed solve is a NaN row.
 
-    ``level(n, strategy, prev)`` returns the level's problem (which holds the
-    ``exact`` cell values), cell volumes, h_eff and a zero-argument solve;
-    ``prev`` is the (problem, solution) of the last converged level or None.
+    ``level(n, strategy, prev)`` returns the level's problem, h_eff and a
+    zero-argument solve.  The problem's ``exact`` cell values give the
+    error and the row's cell count N.  ``prev`` is the (problem, solution)
+    of the last converged level or None.
     """
     records = {}
     for strat in [s if isinstance(s, Strategy) else Strategy.from_name(s)
@@ -203,17 +193,16 @@ def _run_study(strategies, sizes, level, var_names, volume_weighted,
         rec = ConvergenceRecord(strat.name, var_names)
         prev = None
         for n in sizes:
-            problem, volumes, h_eff, solve = level(n, strat, prev)
+            problem, h_eff, solve = level(n, strat, prev)
             try:
                 sol, _ = solve()
-                err = l1_error(sol, problem.exact,
-                               volumes if volume_weighted else None)
+                err = l1_error(sol, problem.exact)
                 prev = (problem, sol)
             except (solver.NonConvergenceError, solver.SolverDivergenceError) as exc:
                 log.warning("%s %s n=%d failed: %s", study_name, strat.name,
                             n, exc)
                 err = np.full(len(var_names), np.nan)
-            rec.add_row(f"n{n}", volumes.size, h_eff, err)
+            rec.add_row(f"n{n}", len(problem.exact), h_eff, err)
         records[strat.name] = rec
     if out_dir is not None:
         write_study_csv(records, out_dir, study_name)

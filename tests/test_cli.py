@@ -14,12 +14,13 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # keys that are not configurable: alpha and the flow constants are module
 # constants (recon.ALPHA, physics.MACH ...), the omegas are study-1d-omega's
-# default strategies, and the CFL schedule and linear solve are fixed per
-# problem in the solver
+# default strategies, the CFL schedule and linear solve are fixed per
+# problem in the solver, and the error norm is always the cell mean
 REMOVED_KEYS = ("omegas", "alpha", "flow.mach", "flow.reynolds", "flow.t_ref",
                 "flow.sutherland_c", "flow.gamma", "flow.prandtl",
                 "solver.cfl_initial", "solver.cfl_growth", "solver.cfl_max",
-                "solver.linear_sweeps", "solver.jacobian_lag")
+                "solver.linear_sweeps", "solver.jacobian_lag",
+                "volume_weighted")
 
 
 class TestConfigParsing:
@@ -363,6 +364,22 @@ class TestMainExitCodes:
                        "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_ORDER_BAND
 
+    @pytest.mark.parametrize("command",
+                             ["study-1d", "study-1d-omega", "study-3d"])
+    def test_studies_take_check_orders(self, command):
+        args = cli.build_parser().parse_args([command, "--check-orders"])
+        assert args.check_orders
+
+    def test_solve_rejects_check_orders(self, tmp_path, capsys):
+        # solve has no orders to check, so the flag is an error, not a no-op
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--check-orders", "--grids", "7",
+                      "--out-dir", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --check-orders" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "effective_config.cfg").exists()
+
 
 class TestSolveArtifacts:
     def test_solve_1d_writes_history_and_solution(self, tmp_path):
@@ -439,17 +456,6 @@ class TestSolveArtifacts:
             solutions[name] = (out / "solution.csv").read_bytes()
         assert solutions["regular"] == solutions["flat"]
         assert solutions["regular"] != solutions["perturbed"]
-
-    def test_volume_weighted_solve_reports_the_weighted_error(
-            self, tmp_path, capsys):
-        lines = []
-        for argv in ([], ["--volume-weighted"]):
-            rc = cli.main(["solve", "--grids", "15", *argv,
-                           "--out-dir", str(tmp_path)])
-            assert rc == cli.EXIT_OK
-            lines.append(capsys.readouterr().out.strip())
-        assert lines[0].startswith("l1 errors: u=")
-        assert lines[0] != lines[1]
 
 
 class TestReadme:

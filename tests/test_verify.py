@@ -28,12 +28,6 @@ class TestL1Error:
         assert err.shape == (5,)
         assert np.abs(err - np.arange(1, 6)).max() < 1e-15
 
-    def test_volume_weighted(self):
-        sol = np.array([1.0, 0.0])
-        vol = np.array([3.0, 1.0])
-        err = l1_error(sol, np.zeros(2), volumes=vol)
-        assert abs(err[0] - 0.75) < 1e-15
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             l1_error(np.zeros(3), np.zeros(4))
@@ -129,14 +123,21 @@ class TestStudy1D:
         e_ar = records_1d["arithmetic"].error_column(0)[-1]
         assert e_os > 5.0 * e_ar
 
-    def test_volume_weighted_changes_constants_only(self):
-        rec = verify.run_study_1d(["arithmetic"], sizes=(7, 11),
-                                  seed=2604, volume_weighted=True)
-        base = verify.run_study_1d(["arithmetic"], sizes=(7, 11), seed=2604)
-        a = rec["arithmetic"].error_column(0)
-        b = base["arithmetic"].error_column(0)
-        assert not np.array_equal(a, b)
-        assert np.all(np.abs(np.log(a / b)) < 1.0)
+
+class TestStudyCellCounts:
+    # the N column is each level's cell count, taken from its problem
+    @pytest.mark.parametrize("run,sizes,study,n_cells", [
+        (verify.run_study_1d, (7, 11), "study-1d", [7, 11]),
+        (verify.run_study_3d, (2, 3), "study-3d", [48, 162]),
+    ], ids=["1d", "3d"])
+    def test_n_column(self, tmp_path, run, sizes, study, n_cells):
+        rec = run(["arithmetic"], sizes=sizes, out_dir=str(tmp_path))
+        assert rec["arithmetic"].n_cells == n_cells
+        rows = (tmp_path / f"{study}_arithmetic.csv").read_text() \
+            .splitlines()[2:]
+        n_vars = len(rec["arithmetic"].var_names)
+        assert [int(row.split(",")[2]) for row in rows] \
+            == [n for n in n_cells for _ in range(n_vars)]
 
 
 class TestCsvOutput:
