@@ -1,31 +1,32 @@
 """Implicit solvers driving both problems to steady state.
 
-Both problems share one nonlinear loop, ``solve_defect_correction``: each
-iteration solves a linear system for an update against the full residual,
-applies it, and retreats on a step that blows the residual up or leaves the
-physical state space.
+Each problem has its own nonlinear loop: each iteration solves a linear
+system for an update against the full residual, applies it, and judges
+the step by the residual it leaves.
 
-1D: pseudo-transient Newton.  The Jacobian is a column-colored
-finite-difference Jacobian of the full nonlinear residual plus a diagonal
-pseudo-time term whose CFL grows geometrically on accepted steps: the
-residual stencil is 5 cells wide (the central-difference gradients of
-``recon.gradient_1d`` reach one cell past each face neighbor), so 5
-perturbed states fill the pentadiagonal band, bit-identical to perturbing
-one column at a time.  Each state the solve tries is evaluated once, ever,
-stacked with its 5 perturbed states: row 0 is the trial residual, and every
-Jacobian built at that state reuses the whole stack and its difference
-steps, whether it is built after the step that accepted the state or
-rebuilt after any run of rejected steps, so a build makes no residual call.
-The builds of one solve write one CSC matrix in place, and each banded
-system is solved by sparse LU (SuperLU).
+1D: pseudo-transient Newton (``solve_defect_correction``), which retreats
+on a step that blows the residual up by cutting its CFL.  The Jacobian is a
+column-colored finite-difference Jacobian of the full nonlinear residual
+plus a diagonal pseudo-time term whose CFL grows geometrically on accepted
+steps: the residual stencil is 5 cells wide (the central-difference
+gradients of ``recon.gradient_1d`` reach one cell past each face neighbor),
+so 5 perturbed states fill the pentadiagonal band, bit-identical to
+perturbing one column at a time.  Each state the solve tries is evaluated
+once, ever, stacked with its 5 perturbed states: row 0 is the trial
+residual, and every Jacobian built at that state reuses the whole stack and
+its difference steps, whether it is built after the step that accepted the
+state or rebuilt after any run of rejected steps, so a build makes no
+residual call.  The builds of one solve write one CSC matrix in place, and
+each banded system is solved by sparse LU (SuperLU).
 
-3D: inexact Newton-Krylov from the manufactured solution.  The MMS problem
-is nearly linear around ``problem.exact``, so the solve starts there and
-takes Newton steps whose direction GMRES finds from a Jacobian-free
-(finite-difference directional derivative) product of the second-order
-residual, left-preconditioned by multicolor block Gauss-Seidel on 5x5 cell
-blocks of a first-order Jacobian (first-order upwind inviscid flux Jacobian
-plus thin-layer viscous blocks), assembled straight into 5x5 BSR blocks.
+3D: inexact Newton-Krylov from the manufactured solution (``solve_ns3d``),
+with no pseudo-time term.  The MMS problem is nearly linear around
+``problem.exact``, so the solve starts there and takes Newton steps whose
+direction GMRES finds from a Jacobian-free (finite-difference directional
+derivative) product of the second-order residual, left-preconditioned by
+multicolor block Gauss-Seidel on 5x5 cell blocks of a first-order Jacobian
+(first-order upwind inviscid flux Jacobian plus thin-layer viscous blocks),
+assembled straight into 5x5 BSR blocks.  A rejected step ends the solve.
 The residual target is still set by the free-stream state.
 """
 
@@ -59,14 +60,12 @@ class SolverConfig:
     """Termination and linear-solve parameters.
 
     ``target_drop`` is the number of orders of magnitude of L1 residual
-    reduction; ``linear_sweeps`` = 0 solves each linear system directly,
-    > 0 applies that many sweeps of multicolor block Gauss-Seidel on 5x5
-    cell blocks instead (in 3D, the sweeps are the GMRES preconditioner).
-    ``jacobian_lag`` reuses the factored Jacobian (in 3D, the
-    preconditioner) for at most that many accepted nonlinear iterations.
-    A CFL change of a factor of two or more rebuilds it sooner, so the lag
-    takes effect only once the CFL sits at its cap (see
-    ``solve_defect_correction``).
+    reduction.  Only the 3D solve reads the other two: its GMRES
+    preconditioner is ``linear_sweeps`` sweeps of multicolor block
+    Gauss-Seidel on 5x5 cell blocks (0 solves directly), rebuilt every
+    ``jacobian_lag`` Newton steps.  They stay until the benchmark stops
+    passing them (ROADMAP item 5).  The 1D solve always factors directly
+    and rebuilds at every step attempt.
     """
 
     target_drop: float = 8.0
@@ -93,7 +92,8 @@ class IterationHistory:
     """Per-iteration L1 residual norms (one per equation) and the CFL used.
 
     A row whose iteration is ``"reference"`` holds the norms of the
-    reference state the residual drop is measured from.
+    reference state the residual drop is measured from.  3D rows record
+    CFL ``inf``: a Newton step has no pseudo-time term.
     """
 
     iterations: list = field(default_factory=list)
@@ -200,7 +200,8 @@ class _LinearSolver:
         return out.ravel()
 
 
-#: Largest pseudo-time CFL; the 3D Newton-Krylov preconditioner starts there.
+#: First and largest pseudo-time CFL of the 1D loop.
+_CFL0 = 10.0
 _CFL_MAX = 1e8
 
 #: GMRES settings of a Newton-Krylov step: relative tolerance, restart
@@ -208,6 +209,10 @@ _CFL_MAX = 1e8
 _GMRES_RTOL = 1e-4
 _GMRES_RESTART = 60
 _GMRES_MAXITER = 10
+
+#: Errors of a step that leaves the physical state space.
+_STEP_ERRORS = (SolverDivergenceError, FloatingPointError,
+                physics.InvalidStateError, physics.NonpositiveTemperatureError)
 
 
 def _krylov_step(matvec, precond, rhs):
@@ -222,94 +227,63 @@ def _krylov_step(matvec, precond, rhs):
     return du
 
 
+def _rise_reason(cur, new):
+    """Why a step from relative residual ``cur`` to ``new`` is rejected, or
+    None if it is accepted."""
+    if math.isfinite(new) and new <= 2.5 * max(cur, 1e-12):
+        return None
+    return f"residual rose from {cur:.3g} to {new:.3g} of the reference level"
+
+
 def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
-                            apply_update_fn, cfg: SolverConfig, *,
-                            reference=None, cfl0: float = 10.0,
-                            matvec_fn=None):
-    """Generic implicit loop with SER pseudo-time control.
+                            apply_update_fn, cfg: SolverConfig):
+    """The 1D pseudo-transient loop, with SER pseudo-time control.
 
     residual_fn(u) -> residual array; jacobian_fn(u, cfl) -> sparse matrix
-    over the flattened unknowns; l1_norm_fn(res) -> per-equation norms;
+    over the unknowns; l1_norm_fn(res) -> per-equation norms;
     apply_update_fn(u, du) -> new u (raises SolverDivergenceError if no
     damping of the update yields a valid state).  Returns (u, history).
 
-    Each step solves jacobian_fn(u, cfl) du = -res.  With ``matvec_fn``,
-    matvec_fn(u, res) returns the product v -> J(u) v of the true Jacobian
-    and the step is inexact Newton-Krylov instead: GMRES on that product,
-    left-preconditioned by the factored jacobian_fn matrix.
+    Each step attempt factors jacobian_fn(u, cfl) afresh by sparse LU and
+    solves it for du = -J^-1 res.  The target is ``cfg.target_drop``
+    orders below the residual norms of u0; an absolute L1 residual of 1e-14
+    also counts as converged.
 
-    The target is ``cfg.target_drop`` orders below the residual norms of
-    ``reference`` (default: u0).  A separate reference state is recorded as
-    the history row labelled ``"reference"``, and then at least one step is
-    taken, since u0 may already lie below the target without being a
-    solution (the exact MMS state does).
-
-    Pseudo-transient continuation: the CFL starts at ``cfl0``, doubles after
-    each accepted step up to 1e8, and is cut back whenever a step blows the
+    Pseudo-transient continuation: the CFL starts at 10, doubles after each
+    accepted step up to 1e8, and is cut back whenever a step blows the
     residual up or leaves the physical state space; 12 rejections in a row
-    raise NonConvergenceError with the last reason.  An absolute L1 residual
-    of 1e-14 also counts as converged.  ``cfg.max_iterations`` caps the
-    steps; the state after the last allowed step is still checked.  The
-    Jacobian is rebuilt at least every ``jacobian_lag`` accepted iterations,
-    after every rejected step, and whenever the CFL has changed by a factor
-    of two or more since the last factorization (the ratio leaves (0.5, 2)).
-    Each accepted step doubles the CFL, so below the 1e8 cap every accepted
-    step rebuilds; the lag takes effect only at the cap, which is where the
-    3D solve runs.
+    raise NonConvergenceError with the last reason.  ``cfg.max_iterations``
+    caps the steps; the state after the last allowed step is still checked.
     """
     history = IterationHistory()
     u = u0
     res = residual_fn(u)
     norms = l1_norm_fn(res)
-    min_steps = 0
-    if reference is None:
-        norms0 = norms
-    else:
-        norms0 = l1_norm_fn(residual_fn(reference))
-        history.append("reference", norms0, cfl0)
-        min_steps = 1
-    norms0 = np.maximum(norms0, 1e-300)
+    norms0 = np.maximum(norms, 1e-300)
     target = 10.0 ** (-cfg.target_drop)
-    cfl = cfl0
-    lin = None
-    built = (None, -1)          # (cfl used for the factored Jacobian, iter)
+    cfl = _CFL0
     cur = float((norms / norms0).max())
     for it in range(cfg.max_iterations + 1):
-        if it >= min_steps and (cur <= target or norms.max() <= 1e-14):
+        if cur <= target or norms.max() <= 1e-14:
             history.append(it, norms, cfl)
             return u, history
         if it == cfg.max_iterations:
             break
-        accepted = False
         for _ in range(12):
-            stale = (lin is None or it - built[1] >= cfg.jacobian_lag
-                     or not 0.5 < cfl / built[0] < 2.0)
-            if stale:
-                lin = _LinearSolver(jacobian_fn(u, cfl), cfg.linear_sweeps)
-                built = (cfl, it)
-            if matvec_fn is None:
-                du = lin.solve(-res.ravel())
-            else:
-                du = _krylov_step(matvec_fn(u, res), lin, -res.ravel())
-            du = du.reshape(res.shape)
+            du = _LinearSolver(jacobian_fn(u, cfl), 0).solve(-res)
             try:
                 u_new = apply_update_fn(u, du)
                 res_new = residual_fn(u_new)
                 norms_new = l1_norm_fn(res_new)
                 new = float((norms_new / norms0).max())
-            except (SolverDivergenceError, FloatingPointError,
-                    physics.InvalidStateError,
-                    physics.NonpositiveTemperatureError) as exc:
+            except _STEP_ERRORS as exc:
                 reason = f"{type(exc).__name__}: {exc}"
             else:
-                if math.isfinite(new) and new <= 2.5 * max(cur, 1e-12):
-                    accepted = True
+                reason = _rise_reason(cur, new)
+                if reason is None:
                     break
-                reason = (f"residual rose from {cur:.3g} to {new:.3g} of the "
-                          "reference level")
             cfl = max(cfl / 4.0, 1e-3)
-            lin = None
-        if not accepted:
+        else:
             history.append(it, norms, cfl)
             raise NonConvergenceError(
                 "update rejected 12 times (pseudo-time backoff exhausted); "
@@ -474,11 +448,9 @@ def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
 
     def jac_fn(u, cfl):
         nonlocal base, container
+        # the loop builds at the last trial or at the last build's state
         if u is trial[0]:
             base = trial
-        elif u is not base[0]:
-            # a state the loop accepted without a build (jacobian_lag > 1)
-            base = evaluate(u)
         container = _jacobian_1d(problem, u, cfl, res=base[2], step=base[1],
                                  out=container)
         return container
@@ -520,7 +492,7 @@ def _prim_from_cons_jacobian(w):
     return m
 
 
-def _jacobian_ns3d(problem, w, cfl):
+def _jacobian_ns3d(problem, w):
     """First-order Jacobian in conservative variables, as 5x5 BSR blocks.
 
     Inviscid part: 0.5 (Fn(U_o) + Fn(U_k)) - 0.5 lambda_c (U_k - U_o) with
@@ -530,23 +502,18 @@ def _jacobian_ns3d(problem, w, cfl):
     flux is approximated as F ~ -C (prim_k - prim_o), where C couples the
     momentum, tau.v work and heat-conduction rows with the scale
     ALPHA mu_f / |d_n| (d_n = ``problem.f_dn``), the coefficient of the
-    difference term in the damped face gradient.  The pseudo-time diagonal
-    adds a viscous spectral radius on the centroid distance.  A pinned row
-    holds only an identity diagonal block.
+    difference term in the damped face gradient.  A pinned row holds only
+    an identity diagonal block.
     """
-    mesh = problem.mesh
-    nc = mesh.n_cells
+    nc = problem.mesh.n_cells
     o, k = problem.f_owner, problem.f_neighbor
     area = problem.f_area
     nhat = problem.f_nhat.T
-    # face state, viscosity and spectral radii (unit area)
+    # face state, viscosity and convective spectral radius (unit area)
     wf = 0.5 * (w[o] + w[k])
     lam_c = np.abs(np.einsum("fd,fd->f", wf[:, 1:4], nhat)) + \
         np.sqrt(wf[:, 4])
     mu = physics.sutherland_viscosity(np.maximum(wf[:, 4], 1e-12))
-    d = np.linalg.norm(mesh.cell_centroid[k] - mesh.cell_centroid[o], axis=1)
-    lam = lam_c + 2.0 * mu / (wf[:, 0] * d) * max(
-        4.0 / 3.0, physics.GAMMA / physics.PRANDTL)
 
     coef = recon.ALPHA * mu / np.abs(problem.f_dn)
     c = np.zeros((len(o), 5, 5))
@@ -564,11 +531,10 @@ def _jacobian_ns3d(problem, w, cfl):
     b_k = 0.5 * (a_k - lam_c[:, None, None] * eye) - visc
 
     # diagonal: area b_o summed over owned faces minus area b_k over
-    # neighbored ones (inc is +-area), plus V/dt = sum(lambda area) / cfl
+    # neighbored ones (inc is +-area)
     inc = problem.f_incidence
-    pseudo = (lam / cfl)[:, None, None] * eye
     diag = (inc @ (0.5 * (b_o + b_k)).reshape(-1, 25) + abs(inc)
-            @ (0.5 * (b_o - b_k) + pseudo).reshape(-1, 25)).reshape(-1, 5, 5)
+            @ (0.5 * (b_o - b_k)).reshape(-1, 25)).reshape(-1, 5, 5)
     diag[problem.pinned] = eye
 
     # off-diagonal blocks of unpinned rows, (o, k) = area b_k and
@@ -621,20 +587,21 @@ def solve_ns3d(problem, cfg: SolverConfig | None = None):
 
     The target is ``cfg.target_drop`` orders below the residual of the
     free-stream state ``problem.initial_state()``, whose norms are the
-    history row labelled ``"reference"``.  The preconditioner Jacobian is
-    built at the largest CFL, where its pseudo-time diagonal is negligible.
+    history row labelled ``"reference"``; at least one step is taken, since
+    the exact state already lies below the target without being a discrete
+    solution.  The preconditioner is built every ``cfg.jacobian_lag``
+    steps.  A step that leaves the physical state space, or whose residual
+    is not finite or rises 2.5-fold, raises NonConvergenceError at once.
     """
     if cfg is None:
         cfg = NS3D_CONFIG
     unpinned = ~problem.pinned
 
-    def res_fn(w):
-        return ns3d.residual_ns3d(problem, w)
+    def evaluate(w):
+        res = ns3d.residual_ns3d(problem, w)
+        return res, np.abs(res[unpinned]).mean(axis=0)
 
-    def norm_fn(res):
-        return np.abs(res[unpinned]).mean(axis=0)
-
-    def update_fn(w, du):
+    def update(w, du):
         """Add the conservative update, halved until the state is physical."""
         u = physics.prim_to_cons(w)
         scale = 1.0
@@ -646,8 +613,34 @@ def solve_ns3d(problem, cfg: SolverConfig | None = None):
         raise SolverDivergenceError(
             "no damping of the update yields a physical state")
 
-    return solve_defect_correction(
-        res_fn, lambda w, cfl: _jacobian_ns3d(problem, w, cfl),
-        problem.exact.copy(), norm_fn, update_fn, cfg,
-        reference=problem.initial_state(), cfl0=_CFL_MAX,
-        matvec_fn=lambda w, res: _matvec_ns3d(problem, w, res))
+    history = IterationHistory()
+    w = problem.exact.copy()
+    res, norms = evaluate(w)
+    norms0 = evaluate(problem.initial_state())[1]
+    history.append("reference", norms0, math.inf)
+    norms0 = np.maximum(norms0, 1e-300)
+    target = 10.0 ** (-cfg.target_drop)
+    cur = float((norms / norms0).max())
+    for it in range(cfg.max_iterations + 1):
+        history.append(it, norms, math.inf)
+        if it and (cur <= target or norms.max() <= 1e-14):
+            return w, history
+        if it == cfg.max_iterations:
+            raise NonConvergenceError(
+                f"residual drop of {cfg.target_drop} orders not reached in "
+                f"{cfg.max_iterations} iterations", history)
+        if it % cfg.jacobian_lag == 0:
+            lin = _LinearSolver(_jacobian_ns3d(problem, w), cfg.linear_sweeps)
+        du = _krylov_step(_matvec_ns3d(problem, w, res), lin, -res.ravel())
+        try:
+            w_new = update(w, du.reshape(res.shape))
+            res_new, norms_new = evaluate(w_new)
+            new = float((norms_new / norms0).max())
+        except _STEP_ERRORS as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            reason = _rise_reason(cur, new)
+        if reason is not None:
+            raise NonConvergenceError(f"Newton step rejected: {reason}",
+                                      history)
+        w, res, norms, cur = w_new, res_new, norms_new, new

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import root
 
-from fvvisc import diffusion1d, mesh, ns3d, physics, recon, solver, verify
+from fvvisc import cli, diffusion1d, mesh, ns3d, physics, recon, solver, verify
 from fvvisc.recon import Strategy
 
 
@@ -107,6 +107,20 @@ class TestDiffusion1DSolve:
         lines = path.read_text().splitlines()
         assert lines[1] == "iteration,l1_res_u,cfl"
         assert len(lines) == 2 + len(hist.iterations)
+
+    def test_repeated_rejection_names_the_reason(self):
+        p = make_1d(n=9, seed=1)
+
+        def reject(u, du):
+            raise solver.SolverDivergenceError("no physical state")
+
+        with pytest.raises(solver.NonConvergenceError,
+                           match="rejected 12 times.*no physical state"):
+            solver.solve_defect_correction(
+                lambda u: diffusion1d.residual_1d(p, u),
+                lambda u, cfl: solver._jacobian_1d(p, u, cfl),
+                p.initial_state(), lambda r: np.abs(r).mean(keepdims=True),
+                reject, solver.SolverConfig())
 
 
 def dense_jacobian_1d(problem, u, cfl):
@@ -297,9 +311,8 @@ class TestColoredJacobian1D:
     def test_a_build_at_any_evaluated_state_matches_a_fresh_build(
             self, monkeypatch):
         """The solve's Jacobian equals a fresh build at whichever state the
-        loop builds it: the last trial, the state of the last build after
-        later trials, or an accepted state never built at (reachable with
-        ``jacobian_lag`` > 1), which alone costs a residual call."""
+        loop builds it: the last trial, or the state of the last build after
+        later trials; neither costs a residual call."""
         p = make_1d(n=11, seed=3)
         s0, s1, s2 = (perturbed_state(p, seed=k) for k in range(3))
         residual = diffusion1d.residual_1d
@@ -320,15 +333,13 @@ class TestColoredJacobian1D:
             res_fn(s1)
             res_fn(s2)
             build(s0, 2.5)          # the last build's state, after 2 trials
-            build(s1, 5.0)          # an older trial, never built at
-            build(s1, 1.25)
             return u0, None
 
         monkeypatch.setattr(diffusion1d, "residual_1d", counted)
         monkeypatch.setattr(solver, "solve_defect_correction", loop)
         solver.solve_diffusion_1d(p)
         monkeypatch.undo()
-        assert [n_calls for *_, n_calls in builds] == [1, 3, 4, 4]
+        assert [n_calls for *_, n_calls in builds] == [1, 3]
         for u, cfl, data, indices, indptr, _ in builds:
             fresh = solver._jacobian_1d(p, u, cfl)
             assert np.array_equal(fresh.data, data)
@@ -350,7 +361,7 @@ class TestLinearSolver:
     def jacobian_3d(self):
         p = ns3d_problem(3, seed=31)
         assert p.pinned.any()       # identity rows: an unsymmetric pattern
-        return solver._jacobian_ns3d(p, p.exact, 1e8)
+        return solver._jacobian_ns3d(p, p.exact)
 
     def test_no_two_cells_of_one_color_are_coupled(self, jacobian_3d):
         lin = solver._LinearSolver(jacobian_3d, 30)
@@ -454,19 +465,50 @@ class TestNewtonKrylov3D:
         ref = verify.l1_error(tight, p.exact)
         assert np.all(np.abs(err - ref) <= 2e-4 * ref)
 
-    def test_repeated_rejection_names_the_reason(self):
-        p = make_1d(n=9, seed=1)
+    def test_a_rejected_step_ends_the_solve(self, monkeypatch):
+        # no pseudo-time backoff: the first bad step raises
+        p = ns3d_problem(3, seed=31)
+        attempts = []
 
-        def reject(u, du):
-            raise solver.SolverDivergenceError("no physical state")
+        def nan_step(matvec, precond, rhs):
+            attempts.append(rhs.size)
+            return np.full(rhs.size, np.nan)
 
+        monkeypatch.setattr(solver, "_krylov_step", nan_step)
         with pytest.raises(solver.NonConvergenceError,
-                           match="rejected 12 times.*no physical state"):
-            solver.solve_defect_correction(
-                lambda u: diffusion1d.residual_1d(p, u),
-                lambda u, cfl: solver._jacobian_1d(p, u, cfl),
-                p.initial_state(), lambda r: np.abs(r).mean(keepdims=True),
-                reject, solver.SolverConfig())
+                           match="Newton step rejected") as exc:
+            solver.solve_ns3d(p)
+        assert len(attempts) == 1
+        assert [row[0] for row in exc.value.history.iterations] == \
+            ["reference", 0]
+
+    @pytest.mark.parametrize("lag,builds", [(1, 3), (2, 2), (8, 1)])
+    def test_preconditioner_is_rebuilt_every_lag_steps(self, monkeypatch,
+                                                        lag, builds):
+        p = ns3d_problem(4, seed=5)
+        calls = []
+        jacobian = solver._jacobian_ns3d
+
+        def counted(problem, w):
+            calls.append(w)
+            return jacobian(problem, w)
+
+        monkeypatch.setattr(solver, "_jacobian_ns3d", counted)
+        _, hist = solver.solve_ns3d(p, dataclasses.replace(
+            solver.NS3D_CONFIG, target_drop=12.0, jacobian_lag=lag))
+        assert hist.iterations[-1][0] == 3
+        assert len(calls) == builds
+
+    def test_history_records_no_pseudo_time(self, tmp_path):
+        p = ns3d_problem(3, seed=31)
+        _, hist = solver.solve_ns3d(p)
+        assert [cfl for *_, cfl in hist.iterations] == \
+            [np.inf] * len(hist.iterations)
+        rc = cli.main(["solve", "--problem", "ns3d", "--grids", "3",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        rows = (tmp_path / "history.csv").read_text().splitlines()[2:]
+        assert rows and all(r.rsplit(",", 1)[1] == "inf" for r in rows)
 
 
 class TestThinLayerJacobian:
@@ -474,7 +516,7 @@ class TestThinLayerJacobian:
         m = mesh.generate_tet_mesh(2, perturbation=0.0, seed=0)
         p = ns3d.NS3DProblem(m, Strategy.from_name("arithmetic"))
         w = p.initial_state()
-        jac = solver._jacobian_ns3d(p, w, cfl=10.0)
+        jac = solver._jacobian_ns3d(p, w)
         nc = m.n_cells
         assert jac.shape == (5 * nc, 5 * nc)
         pinned_cells = np.flatnonzero(p.pinned)
@@ -567,17 +609,17 @@ class TestBlockJacobian3D:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("strategy", ["arithmetic", "lr-average",
                                           "inverse-distance"])
-    @pytest.mark.parametrize("cfl", [10.0, 1e8])
     @pytest.mark.parametrize("perturbed", [False, True])
-    def test_matches_the_coo_assembly(self, n, strategy, cfl, perturbed):
+    def test_matches_the_coo_assembly(self, n, strategy, perturbed):
         p = ns3d_problem(n, seed=n, strategy=strategy)
         w = p.exact.copy()
         if perturbed:
             rng = np.random.default_rng(n)
             free = ~p.pinned
             w[free] *= 1.0 + 0.05 * rng.standard_normal(w[free].shape)
-        got = solver._jacobian_ns3d(p, w, cfl)
-        ref = coo_jacobian_ns3d(p, w, cfl).tobsr(blocksize=(5, 5))
+        got = solver._jacobian_ns3d(p, w)
+        # CFL inf: the oracle's pseudo-time diagonal is exactly 0
+        ref = coo_jacobian_ns3d(p, w, np.inf).tobsr(blocksize=(5, 5))
 
         assert got.format == "bsr" and got.blocksize == (5, 5)
         assert got.shape == ref.shape
