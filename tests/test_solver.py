@@ -17,6 +17,11 @@ def make_1d(n=11, strategy="arithmetic", seed=0):
     return diffusion1d.Diffusion1DProblem(g, Strategy.from_name(strategy))
 
 
+#: The errors of a step that leaves the physical state space.
+STEP_ERRORS = [solver.SolverDivergenceError, FloatingPointError,
+               physics.InvalidStateError, physics.NonpositiveTemperatureError]
+
+
 class TestSolverConfig:
     def test_defaults_valid(self):
         solver.SolverConfig()
@@ -121,6 +126,28 @@ class TestDiffusion1DSolve:
                 lambda u, cfl: solver._jacobian_1d(p, u, cfl),
                 p.initial_state(), lambda r: np.abs(r).mean(keepdims=True),
                 reject, solver.SolverConfig())
+
+    @pytest.mark.parametrize("error", STEP_ERRORS)
+    def test_each_step_error_cuts_the_cfl(self, error):
+        # every error of a step off the physical state space is a
+        # rejection: the CFL falls 4-fold per attempt, floored at 1e-3
+        p = make_1d(n=9, seed=1)
+        cfls = []
+
+        def jacobian(u, cfl):
+            cfls.append(cfl)
+            return solver._jacobian_1d(p, u, cfl)
+
+        def reject(u, du):
+            raise error("off the state space")
+
+        with pytest.raises(solver.NonConvergenceError,
+                           match=f"rejected 12 times.*{error.__name__}"):
+            solver.solve_defect_correction(
+                lambda u: diffusion1d.residual_1d(p, u), jacobian,
+                p.initial_state(), lambda r: np.abs(r).mean(keepdims=True),
+                reject, solver.SolverConfig())
+        assert cfls == [max(10.0 / 4.0 ** k, 1e-3) for k in range(12)]
 
 
 def dense_jacobian_1d(problem, u, cfl):
@@ -509,6 +536,86 @@ class TestNewtonKrylov3D:
         assert rc == cli.EXIT_OK
         rows = (tmp_path / "history.csv").read_text().splitlines()[2:]
         assert rows and all(r.rsplit(",", 1)[1] == "inf" for r in rows)
+
+    @pytest.mark.parametrize("error", STEP_ERRORS)
+    def test_each_step_error_ends_the_solve(self, monkeypatch, error):
+        p = ns3d_problem(3, seed=31)
+        residual = ns3d.residual_ns3d
+        steps = []
+
+        def zero_step(matvec, precond, rhs):
+            steps.append(rhs.size)
+            return np.zeros_like(rhs)
+
+        def failing(problem, w):
+            if steps:
+                raise error("off the state space")
+            return residual(problem, w)
+
+        monkeypatch.setattr(solver, "_krylov_step", zero_step)
+        monkeypatch.setattr(ns3d, "residual_ns3d", failing)
+        with pytest.raises(solver.NonConvergenceError,
+                           match=f"Newton step rejected: {error.__name__}"):
+            solver.solve_ns3d(p)
+        assert len(steps) == 1
+
+    def test_an_update_no_damping_makes_physical_is_rejected(
+            self, monkeypatch):
+        # 25 halvings leave a step of -1e12 still far below zero density
+        p = ns3d_problem(3, seed=31)
+        monkeypatch.setattr(solver, "_krylov_step",
+                            lambda matvec, precond, rhs:
+                            np.full(rhs.size, -1e12))
+        with pytest.raises(solver.NonConvergenceError,
+                           match="Newton step rejected: SolverDivergenceError"
+                                 ": no damping"):
+            solver.solve_ns3d(p)
+
+    def test_a_residual_rise_is_rejected(self, monkeypatch):
+        # a physical step that scales every conserved variable by 1.1
+        p = ns3d_problem(3, seed=31)
+        u = physics.prim_to_cons(p.exact).ravel()
+        monkeypatch.setattr(solver, "_krylov_step",
+                            lambda matvec, precond, rhs: 0.1 * u)
+        with pytest.raises(solver.NonConvergenceError,
+                           match="Newton step rejected: residual rose"):
+            solver.solve_ns3d(p)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_capped_history_is_a_prefix_of_the_uncapped_one(self, cap):
+        p = ns3d_problem(4, seed=5)
+        cfg = dataclasses.replace(solver.NS3D_CONFIG, target_drop=12.0)
+        _, full = solver.solve_ns3d(p, cfg)
+        with pytest.raises(solver.NonConvergenceError,
+                           match=f"not reached in {cap} iterations") as exc:
+            solver.solve_ns3d(p, dataclasses.replace(cfg, max_iterations=cap))
+        capped = exc.value.history.iterations
+        assert len(capped) == cap + 2       # the reference row, then 0..cap
+        for (it, norms, cfl), (it_ref, norms_ref, cfl_ref) in zip(
+                capped, full.iterations[:cap + 2], strict=True):
+            assert it == it_ref and cfl == cfl_ref
+            assert np.array_equal(norms, norms_ref)
+
+    def test_target_reached_on_the_last_allowed_step(self):
+        p = ns3d_problem(4, seed=5)
+        cfg = dataclasses.replace(solver.NS3D_CONFIG, target_drop=12.0)
+        w, hist = solver.solve_ns3d(p, cfg)
+        capped, _ = solver.solve_ns3d(
+            p, dataclasses.replace(cfg, max_iterations=hist.iterations[-1][0]))
+        assert np.array_equal(capped, w)
+
+    def test_reference_row_holds_the_free_stream_norms(self):
+        p = ns3d_problem(3, seed=31)
+        _, hist = solver.solve_ns3d(p)
+        label, norms, _ = hist.iterations[0]
+        res = ns3d.residual_ns3d(p, p.initial_state())
+        assert label == "reference"
+        assert np.array_equal(norms, np.abs(res[~p.pinned]).mean(axis=0))
+
+    def test_deterministic(self):
+        a, _ = solver.solve_ns3d(ns3d_problem(3, seed=31))
+        b, _ = solver.solve_ns3d(ns3d_problem(3, seed=31))
+        assert np.array_equal(a, b)
 
 
 class TestThinLayerJacobian:
