@@ -350,9 +350,12 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     _check_run_values(cfg, entry, single, [s.name for s in strategies])
     cfg.update({key: getattr(solver_cfg, key.split(".", 1)[1])
                 for key in CONFIG_SCHEMA if key.startswith("solver.")})
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg["out_dir"],
-                                             "effective_config.cfg"))
+    try:
+        os.makedirs(cfg["out_dir"], exist_ok=True)
+        write_effective_config(cfg, os.path.join(cfg["out_dir"],
+                                                 "effective_config.cfg"))
+    except OSError as exc:
+        raise ConfigError(f"cannot write to out_dir: {exc}") from exc
     return cfg, strategies, solver_cfg
 
 

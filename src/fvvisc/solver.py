@@ -11,13 +11,13 @@ plus a diagonal pseudo-time term whose CFL grows geometrically on accepted
 steps: the residual stencil is 5 cells wide (the central-difference
 gradients of ``recon.gradient_1d`` reach one cell past each face neighbor),
 so 5 perturbed states fill the pentadiagonal band, bit-identical to
-perturbing one column at a time.  Each state the solve tries is evaluated
-once, ever, stacked with its 5 perturbed states: row 0 is the trial
-residual, and every Jacobian built at that state reuses the whole stack and
-its difference steps, whether it is built after the step that accepted the
-state or rebuilt after any run of rejected steps, so a build makes no
-residual call.  The builds of one solve write one CSC matrix in place, and
-each banded system is solved by sparse LU (SuperLU).
+perturbing one column at a time.  The loop evaluates each state it tries
+once (``_evaluate_1d``), stacked with its 5 perturbed states: row 0 is the
+state's residual, and every Jacobian built at an accepted state reuses the
+whole stack and its difference steps, also when it is rebuilt after a run
+of rejected steps, so a build makes no residual call.  The builds of one
+solve write one CSC matrix in place, and each banded system is solved by
+sparse LU (SuperLU).
 
 3D: inexact Newton-Krylov from the manufactured solution (``solve_ns3d``),
 with no pseudo-time term.  The MMS problem is nearly linear around
@@ -235,19 +235,23 @@ def _rise_reason(cur, new):
     return f"residual rose from {cur:.3g} to {new:.3g} of the reference level"
 
 
-def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
-                            apply_update_fn, cfg: SolverConfig):
-    """The 1D pseudo-transient loop, with SER pseudo-time control.
+def solve_defect_correction(problem, u0, apply_update_fn, cfg: SolverConfig):
+    """The 1D pseudo-transient loop, with SER pseudo-time control; returns
+    (u, history).
 
-    residual_fn(u) -> residual array; jacobian_fn(u, cfl) -> sparse matrix
-    over the unknowns; l1_norm_fn(res) -> per-equation norms;
-    apply_update_fn(u, du) -> new u (raises SolverDivergenceError if no
-    damping of the update yields a valid state).  Returns (u, history).
+    apply_update_fn(u, du) -> new u has one value, the pinned sum of
+    ``solve_diffusion_1d``; it stays a parameter only because the benchmark
+    binds it by name to count step attempts.
 
-    Each step attempt factors jacobian_fn(u, cfl) afresh by sparse LU and
-    solves it for du = -J^-1 res.  The target is ``cfg.target_drop``
-    orders below the residual norms of u0; an absolute L1 residual of 1e-14
-    also counts as converged.
+    The loop evaluates each state it tries once (``_evaluate_1d``) and holds
+    the difference steps, stacked residual and norms of the accepted state
+    and of the trial; on acceptance the trial's become the state's.  Each
+    step attempt builds the Jacobian at the accepted state from its stack,
+    into one CSC container per solve, factors it afresh by sparse LU and
+    solves it for du = -J^-1 res.  The norm is the mean absolute residual
+    over the unpinned (interior) cells; the target is ``cfg.target_drop``
+    orders below the norm of u0, and an absolute 1e-14 also counts as
+    converged.
 
     Pseudo-transient continuation: the CFL starts at 10, doubles after each
     accepted step up to 1e8, and is cut back whenever a step blows the
@@ -255,14 +259,20 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
     raise NonConvergenceError with the last reason.  ``cfg.max_iterations``
     caps the steps; the state after the last allowed step is still checked.
     """
+    n = u0.size
+
+    def evaluate(u):
+        step, stack = _evaluate_1d(problem, u)
+        return step, stack, np.abs(stack[0, 1:-1]).sum(keepdims=True) / (n - 2)
+
     history = IterationHistory()
     u = u0
-    res = residual_fn(u)
-    norms = l1_norm_fn(res)
+    step, stack, norms = evaluate(u)
     norms0 = np.maximum(norms, 1e-300)
     target = 10.0 ** (-cfg.target_drop)
     cfl = _CFL0
     cur = float((norms / norms0).max())
+    jac = None
     for it in range(cfg.max_iterations + 1):
         if cur <= target or norms.max() <= 1e-14:
             history.append(it, norms, cfl)
@@ -270,12 +280,13 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
         if it == cfg.max_iterations:
             break
         for _ in range(12):
-            du = _LinearSolver(jacobian_fn(u, cfl), 0).solve(-res)
+            jac = _jacobian_1d(problem, u, cfl, evaluated=(step, stack),
+                               out=jac)
+            du = _LinearSolver(jac, 0).solve(-stack[0])
             try:
                 u_new = apply_update_fn(u, du)
-                res_new = residual_fn(u_new)
-                norms_new = l1_norm_fn(res_new)
-                new = float((norms_new / norms0).max())
+                trial = evaluate(u_new)
+                new = float((trial[2] / norms0).max())
             except _STEP_ERRORS as exc:
                 reason = f"{type(exc).__name__}: {exc}"
             else:
@@ -290,7 +301,7 @@ def solve_defect_correction(residual_fn, jacobian_fn, u0, l1_norm_fn,
                 f"last: {reason}", history)
         history.append(it, norms, cfl)
         cfl = min(cfl * 2.0, _CFL_MAX)
-        u, res, norms, cur = u_new, res_new, norms_new, new
+        u, (step, stack, norms), cur = u_new, trial, new
     history.append(cfg.max_iterations, norms, cfl)
     raise NonConvergenceError(
         f"residual drop of {cfg.target_drop} orders not reached in "
@@ -364,7 +375,14 @@ def _colored_states_1d(u, step):
     return states
 
 
-def _jacobian_1d(problem, u, cfl, res=None, step=None, out=None):
+def _evaluate_1d(problem, u):
+    """(difference steps, stacked residual) of state u: the residual of
+    ``_colored_states_1d``, whose row 0 is the residual of u itself."""
+    step = _fd_step_1d(u)
+    return step, diffusion1d.residual_1d(problem, _colored_states_1d(u, step))
+
+
+def _jacobian_1d(problem, u, cfl, evaluated=None, out=None):
     """Column-colored finite-difference Jacobian of the full nonlinear
     residual plus the pseudo-time diagonal, as a pentadiagonal CSC matrix.
 
@@ -374,10 +392,10 @@ def _jacobian_1d(problem, u, cfl, res=None, step=None, out=None):
     the perturbed states (``_colored_states_1d``) go through one stacked
     evaluation of the residual, which is elementwise, so each entry is
     bit-identical to the per-column difference with the same step
-    1e-7 max(1, |u_j|).  ``res`` and ``step`` are that stacked residual and
-    those steps when the caller has them already (the 1D solve evaluates
-    each state it tries this way once, ever, so its builds cost no residual
-    call); without them the build computes them.  Numerically zero entries are
+    1e-7 max(1, |u_j|).  ``evaluated`` is the (steps, stacked residual) pair
+    of ``_evaluate_1d(problem, u)`` when the caller has it already (the 1D
+    solve evaluates each state it tries once, so its builds cost no residual
+    call); without it the build evaluates u.  Numerically zero entries are
     dropped, so the sparsity structure (which SuperLU's column ordering
     sees) matches that of the dense matrix.
 
@@ -395,10 +413,7 @@ def _jacobian_1d(problem, u, cfl, res=None, step=None, out=None):
     grid = problem.grid
     n = grid.n_cells
     band = _band_pattern_1d(n)
-    if step is None:
-        step = _fd_step_1d(u)
-    if res is None:
-        res = diffusion1d.residual_1d(problem, _colored_states_1d(u, step))
+    step, res = _evaluate_1d(problem, u) if evaluated is None else evaluated
     data = (res[1:] - res[0]).take(band.colored) / step.take(band.major)
     # pseudo-time: dt = cfl h^2 / nu, floored so the diagonal never vanishes
     # at the u = 0 degeneracy of nu = u^2.  Pinned rows of the residual are
@@ -419,45 +434,13 @@ def _jacobian_1d(problem, u, cfl, res=None, step=None, out=None):
 
 def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
                        u0: np.ndarray | None = None):
-    """Drive the 1D problem to steady state; returns (u, history).
-
-    Each state the loop tries is evaluated once, ever: its difference steps
-    and the stacked residual of ``_colored_states_1d`` are kept for the last
-    trial and for the state the Jacobian was last built at, so a build at an
-    accepted state, and every rebuild after a run of rejected steps, costs
-    no residual call.  All builds of one solve share one CSC container.
-    """
+    """Drive the 1D problem to steady state from u0 (by default the
+    problem's initial state, its end cells pinned); returns (u, history)."""
     if cfg is None:
         cfg = SolverConfig()
     if u0 is None:
         u0 = problem.initial_state()
     u0 = diffusion1d.apply_boundary_closure(problem, u0)
-    # (state, its difference steps, its stacked residual)
-    trial = base = (None, None, None)
-    container = None
-
-    def evaluate(u):
-        step = _fd_step_1d(u)
-        return u, step, diffusion1d.residual_1d(problem,
-                                                _colored_states_1d(u, step))
-
-    def res_fn(u):
-        nonlocal trial
-        trial = evaluate(u)
-        return trial[2][0]
-
-    def jac_fn(u, cfl):
-        nonlocal base, container
-        # the loop builds at the last trial or at the last build's state
-        if u is trial[0]:
-            base = trial
-        container = _jacobian_1d(problem, u, cfl, res=base[2], step=base[1],
-                                 out=container)
-        return container
-
-    def norm_fn(res):
-        # mean over the unpinned cells, which are the interior ones
-        return np.abs(res[1:-1]).sum(keepdims=True) / (res.size - 2)
 
     def update_fn(u, du):
         # pin the first and last cells of the fresh sum, as
@@ -466,8 +449,7 @@ def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
         u_new[::u_new.size - 1] = problem.boundary_values
         return u_new
 
-    return solve_defect_correction(res_fn, jac_fn, u0, norm_fn, update_fn,
-                                   cfg)
+    return solve_defect_correction(problem, u0, update_fn, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,54 @@ def test_3d_study_shares_one_mesh_per_level(monkeypatch):
                                        (solver, "solve_ns3d")))
     verify.run_study_3d(("arithmetic", "lr-average"), sizes=(2, 3))
     assert calls == {"generate_tet_mesh": 2, "solve_ns3d": 4}
+
+
+# The benchmark reaches the 1D loop from outside: perfbench/worker.py fails
+# a solve by replacing solver.solve_defect_correction, and the tracer counts
+# step attempts by binding a wrapper to its apply_update_fn by name.
+
+def test_a_failing_1d_loop_is_a_nan_row(monkeypatch):
+    original = solver.solve_defect_correction
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise solver.NonConvergenceError("injected",
+                                             solver.IterationHistory())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_defect_correction", failing)
+    records = verify.run_study_1d(["arithmetic"], sizes=(7, 11, 15))
+    col = records["arithmetic"].error_column(0)
+    assert [math.isnan(e) for e in col] == [False, True, False]
+
+
+def test_apply_update_fn_counts_the_step_attempts(monkeypatch):
+    original = solver.solve_defect_correction
+    solve = solver._LinearSolver.solve
+    updates = solves = 0
+
+    def traced(*args, **kwargs):
+        bound = inspect.signature(original).bind(*args, **kwargs)
+        update = bound.arguments["apply_update_fn"]
+
+        def counted_update(*a, **k):
+            nonlocal updates
+            updates += 1
+            return update(*a, **k)
+        bound.arguments["apply_update_fn"] = counted_update
+        return original(*bound.args, **bound.kwargs)
+
+    def counted_solve(self, rhs):
+        nonlocal solves
+        solves += 1
+        return solve(self, rhs)
+
+    monkeypatch.setattr(solver, "solve_defect_correction", traced)
+    monkeypatch.setattr(solver._LinearSolver, "solve", counted_solve)
+    # this family rejects steps, so attempts outnumber accepted steps
+    problem = diffusion1d.Diffusion1DProblem(
+        mesh.generate_grid_1d(7, seed=1), Strategy.from_name("one-sided-left"))
+    _, history = solver.solve_diffusion_1d(problem)
+    assert updates == solves > history.iterations[-1][0]

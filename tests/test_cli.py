@@ -253,6 +253,20 @@ class TestMainExitCodes:
         assert err[0].startswith(f"config error: {message}")
         assert not list(tmp_path.rglob("effective_config.cfg"))
 
+    @pytest.mark.parametrize("command,out_dir", [
+        ("study-1d", "file"), ("solve", "file/sub")],
+        ids=["study-1d", "solve"])
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, command,
+                                      out_dir):
+        # a path that is a file, or lies under one, cannot be created
+        (tmp_path / "file").write_text("")
+        rc = cli.main([command, "--grids", "7", "--strategies", "arithmetic",
+                       "--out-dir", str(tmp_path / out_dir)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: cannot write to out_dir: ")
+
     def test_degenerate_mesh_is_a_config_error(self, tmp_path, capsys):
         # n = 5 at seed 1 and perturbation 0.3 inverts a tet
         rc = cli.main(["solve", "--problem", "ns3d", "--grids", "5",

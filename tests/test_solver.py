@@ -121,32 +121,29 @@ class TestDiffusion1DSolve:
 
         with pytest.raises(solver.NonConvergenceError,
                            match="rejected 12 times.*no physical state"):
-            solver.solve_defect_correction(
-                lambda u: diffusion1d.residual_1d(p, u),
-                lambda u, cfl: solver._jacobian_1d(p, u, cfl),
-                p.initial_state(), lambda r: np.abs(r).mean(keepdims=True),
-                reject, solver.SolverConfig())
+            solver.solve_defect_correction(p, p.initial_state(), reject,
+                                           solver.SolverConfig())
 
     @pytest.mark.parametrize("error", STEP_ERRORS)
-    def test_each_step_error_cuts_the_cfl(self, error):
+    def test_each_step_error_cuts_the_cfl(self, monkeypatch, error):
         # every error of a step off the physical state space is a
         # rejection: the CFL falls 4-fold per attempt, floored at 1e-3
         p = make_1d(n=9, seed=1)
         cfls = []
+        build = solver._jacobian_1d
 
-        def jacobian(u, cfl):
+        def jacobian(problem, u, cfl, **kwargs):
             cfls.append(cfl)
-            return solver._jacobian_1d(p, u, cfl)
+            return build(problem, u, cfl, **kwargs)
 
         def reject(u, du):
             raise error("off the state space")
 
+        monkeypatch.setattr(solver, "_jacobian_1d", jacobian)
         with pytest.raises(solver.NonConvergenceError,
                            match=f"rejected 12 times.*{error.__name__}"):
-            solver.solve_defect_correction(
-                lambda u: diffusion1d.residual_1d(p, u), jacobian,
-                p.initial_state(), lambda r: np.abs(r).mean(keepdims=True),
-                reject, solver.SolverConfig())
+            solver.solve_defect_correction(p, p.initial_state(), reject,
+                                           solver.SolverConfig())
         assert cfls == [max(10.0 / 4.0 ** k, 1e-3) for k in range(12)]
 
 
@@ -334,44 +331,6 @@ class TestColoredJacobian1D:
         assert attempts > hist.iterations[-1][0]
         assert len(shapes) == 1 + attempts
         assert set(shapes) == {(min(5, n) + 1, n)}
-
-    def test_a_build_at_any_evaluated_state_matches_a_fresh_build(
-            self, monkeypatch):
-        """The solve's Jacobian equals a fresh build at whichever state the
-        loop builds it: the last trial, or the state of the last build after
-        later trials; neither costs a residual call."""
-        p = make_1d(n=11, seed=3)
-        s0, s1, s2 = (perturbed_state(p, seed=k) for k in range(3))
-        residual = diffusion1d.residual_1d
-        calls = []
-        builds = []
-
-        def counted(problem, u, *args, **kwargs):
-            calls.append(u)
-            return residual(problem, u, *args, **kwargs)
-
-        def loop(res_fn, jac_fn, u0, *args, **kwargs):
-            def build(u, cfl):
-                mat = jac_fn(u, cfl)
-                builds.append((u, cfl, mat.data.copy(), mat.indices.copy(),
-                               mat.indptr.copy(), len(calls)))
-            res_fn(s0)
-            build(s0, 10.0)         # the last trial
-            res_fn(s1)
-            res_fn(s2)
-            build(s0, 2.5)          # the last build's state, after 2 trials
-            return u0, None
-
-        monkeypatch.setattr(diffusion1d, "residual_1d", counted)
-        monkeypatch.setattr(solver, "solve_defect_correction", loop)
-        solver.solve_diffusion_1d(p)
-        monkeypatch.undo()
-        assert [n_calls for *_, n_calls in builds] == [1, 3]
-        for u, cfl, data, indices, indptr, _ in builds:
-            fresh = solver._jacobian_1d(p, u, cfl)
-            assert np.array_equal(fresh.data, data)
-            assert np.array_equal(fresh.indices, indices)
-            assert np.array_equal(fresh.indptr, indptr)
 
 
 class TestLinearSolver:
