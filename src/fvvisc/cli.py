@@ -224,23 +224,11 @@ PROBLEMS = {
 # Order-band checking (--check-orders)
 # ---------------------------------------------------------------------------
 
-NOMINAL_ORDER = {
-    "lr-average": 2.0, "arithmetic": 2.0, "inverse-distance": 2.0,
-    "one-sided-left": 1.0, "one-sided-right": 1.0,
-}
-
-
-def _nominal_order(name: str) -> float:
-    if name.startswith("weighted:"):
-        return 2.0 if abs(float(name.split(":")[1]) - 0.5) < 1e-12 else 1.0
-    return NOMINAL_ORDER[name]
-
-
 def check_orders(records: dict, half_width: float, variable=0) -> list:
     """Return human-readable violations of the finest-pair order bands."""
     violations = []
     for name, rec in records.items():
-        nominal = _nominal_order(name)
+        nominal = recon.Strategy.from_name(name).nominal_order
         lo, hi = nominal - half_width, nominal + half_width
         try:
             order = verify.finest_pair_order(rec, variable)
@@ -289,11 +277,12 @@ def _print_summary(records: dict, variable=0) -> None:
 # ---------------------------------------------------------------------------
 
 def _check_run_values(cfg: dict, entry: Problem, single: bool,
-                      names: list) -> None:
+                      strategies: list) -> None:
     """Reject grid, perturbation, seed, strategy and output-directory values
-    that the grid generators and the studies cannot run, and (``single``)
-    more than one grid size or strategy.  ``names`` are the strategies'
-    names, which key their records and CSVs, so they must be distinct."""
+    that the grid generators and the studies cannot run, a study of fewer
+    than two grid sizes, and (``single``) more than one grid size or
+    strategy.  The strategies' names key their records and CSVs, so they
+    must be distinct and each must parse back to its strategy."""
     grids = cfg["grids"]
     if not grids:
         raise ConfigError("grids is empty")
@@ -311,16 +300,24 @@ def _check_run_values(cfg: dict, entry: Problem, single: bool,
         raise ConfigError(f"seed must be at least 0, got {cfg['seed']}")
     if not cfg["strategies"]:
         raise ConfigError("no strategies given")
+    names = [s.name for s in strategies]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError("strategy names must be distinct; repeated: "
                           + ", ".join(repeated))
+    for s in strategies:
+        if recon.Strategy.from_name(s.name) != s:
+            raise ConfigError(f"omega {s.omega!r} prints as {s.name}, "
+                              "which names another weight")
     if not cfg["out_dir"]:
         raise ConfigError("out_dir is empty")
     for key in ("grids", "strategies") if single else ():
         if len(cfg[key]) > 1:
             raise ConfigError(f"solve takes one value of {key}, got "
                               + _format_value(key, cfg[key]))
+    if not single and len(grids) < 2:
+        raise ConfigError("a study needs at least two grid sizes, got "
+                          + _format_value("grids", grids))
 
 
 def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
@@ -347,7 +344,7 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
         solver_cfg = dataclasses.replace(entry.solver_defaults, **solver_keys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_run_values(cfg, entry, single, [s.name for s in strategies])
+    _check_run_values(cfg, entry, single, strategies)
     cfg.update({key: getattr(solver_cfg, key.split(".", 1)[1])
                 for key in CONFIG_SCHEMA if key.startswith("solver.")})
     try:
@@ -372,7 +369,7 @@ def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
     variable = entry.var_names[0]
     _print_summary(records, variable)
     half = entry.half_width
-    if omega_sweep and all(_nominal_order(s.name) == 2.0 for s in strategies):
+    if omega_sweep and all(s.nominal_order == 2.0 for s in strategies):
         half = 0.1
     return _study_exit(records, args, half, variable)
 

@@ -86,8 +86,10 @@ def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
     u_l = uj + gj * d_j
     u_r = uk - gk * d_k
     dudx_f = face_derivative_1d(gj, gk, u_l, u_r, problem.f_spacing)
-    nu = face_scalar(problem.strategy, sq[..., :-1], sq[..., 1:], u_l ** 2,
-                     u_r ** 2, d_j, d_k)
+    lr = problem.strategy.tag == "lr-average"  # the one reader of nu(u_l, u_r)
+    nu = face_scalar(problem.strategy, sq[..., :-1], sq[..., 1:],
+                     u_l ** 2 if lr else None, u_r ** 2 if lr else None,
+                     d_j, d_k)
     return nu * dudx_f
 
 

@@ -2,9 +2,11 @@
 
 Cell gradients come from an unweighted linear least-squares fit over
 face-adjacent neighbors (1D: central differences over cell centers).  Face
-values for viscous coefficients are produced by one of several interchangeable
-strategies; face gradients use the alpha-damped average of cell gradients
-with the fixed damping coefficient ALPHA = 4/3.  All operations are pure.
+values for viscous coefficients come from one of several strategies: each
+but inverse-distance is a two-point average with a left weight, second
+order only at weight 1/2.  Face gradients use the alpha-damped average of
+cell gradients with the fixed damping coefficient ALPHA = 4/3.  All
+operations are pure.
 
 Layout.  The 3D gradients and face kernels use per-variable rows: a state
 is (m, ...), a vector (3, ...) and a gradient (m, 3, ...), and the kernels
@@ -44,9 +46,9 @@ class DegenerateGeometryError(Exception):
 class Strategy:
     """Tagged choice of face-value evaluation.
 
-    ``omega`` is only meaningful for the "weighted" tag: the face value is
-    omega * (left cell value) + (1 - omega) * (right cell value), which
-    reduces to the arithmetic average at omega = 1/2.
+    Every tag but inverse-distance is the two-point average
+    w * left + (1 - w) * right with w = ``left_weight``.  ``omega`` is the
+    weight of the "weighted" tag and is ignored by the others.
     """
 
     tag: str
@@ -65,8 +67,6 @@ class Strategy:
         name = name.strip()
         if name.startswith("weighted:"):
             return cls("weighted", float(name.split(":", 1)[1]))
-        if name == "weighted":
-            return cls("weighted")
         return cls(name)
 
     @property
@@ -74,6 +74,20 @@ class Strategy:
         if self.tag == "weighted":
             return f"weighted:{self.omega:g}"
         return self.tag
+
+    @property
+    def left_weight(self) -> float | None:
+        """Weight of the left value in the two-point face average; None for
+        inverse-distance, whose weights vary with the face geometry."""
+        return {"lr-average": 0.5, "arithmetic": 0.5, "one-sided-left": 1.0,
+                "one-sided-right": 0.0, "weighted": self.omega}.get(self.tag)
+
+    @property
+    def nominal_order(self) -> float:
+        """2 for a symmetric average (a left weight within 1e-12 of 1/2) or
+        the linearly exact inverse-distance rule, 1 otherwise."""
+        w = self.left_weight
+        return 2.0 if w is None or abs(w - 0.5) < 1e-12 else 1.0
 
 
 @lru_cache(maxsize=None)
@@ -252,24 +266,17 @@ def face_scalar(strategy: Strategy, t_j, t_k, t_l, t_r, d_j=None, d_k=None):
     """Face value of a scalar under the selected reconstruction strategy.
 
     t_j, t_k are the adjacent cell values; t_l, t_r the linearly reconstructed
-    face values (used only by the L/R-average strategy).  The face-to-centroid
-    distances d_j, d_k are required only for inverse-distance weighting; they
-    broadcast against the values, so (F,) distances weight (m, F) rows.
+    face values, which lr-average averages in their place.  The distances
+    d_j, d_k to the face, read only by inverse-distance, broadcast against
+    the values, so (F,) distances weight (m, F) rows.
     """
+    if strategy.tag == "lr-average":
+        t_j, t_k = t_l, t_r
     t_j = np.asarray(t_j, dtype=float)
     t_k = np.asarray(t_k, dtype=float)
-    tag = strategy.tag
-    if tag == "lr-average":
-        return 0.5 * (np.asarray(t_l, dtype=float) + np.asarray(t_r, dtype=float))
-    if tag == "arithmetic":
-        return 0.5 * (t_j + t_k)
-    if tag == "one-sided-left":
-        return t_j + 0.0
-    if tag == "one-sided-right":
-        return t_k + 0.0
-    if tag == "weighted":
-        return strategy.omega * t_j + (1.0 - strategy.omega) * t_k
-    # inverse-distance
+    w = strategy.left_weight
+    if w is not None:
+        return w * t_j + (1.0 - w) * t_k
     if np.any(d_j == 0.0) or np.any(d_k == 0.0):
         raise DegenerateGeometryError(
             "inverse-distance weighting with a zero face-to-centroid distance")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fvvisc import cli, invariants, verify
+from fvvisc.recon import Strategy
 from fvvisc.verify import ConvergenceRecord
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -117,8 +118,8 @@ class TestCheckOrders:
         assert "arithmetic" in violations[0]
 
     def test_weighted_nominal_orders(self):
-        assert cli._nominal_order("weighted:0.5") == 2.0
-        assert cli._nominal_order("weighted:0.75") == 1.0
+        assert Strategy.from_name("weighted:0.5").nominal_order == 2.0
+        assert Strategy.from_name("weighted:0.75").nominal_order == 1.0
 
     def test_undefined_order_is_a_violation(self):
         rec = ConvergenceRecord("arithmetic", ("u",))
@@ -194,6 +195,16 @@ class TestMainExitCodes:
         (["study-1d-omega", "--strategies", "weighted,weighted:0.5",
           "--grids", "7,11"], "strategy names must be distinct; "
          "repeated: weighted:0.5"),
+        (["study-1d", "--grids", "7", "--strategies", "arithmetic"],
+         "a study needs at least two grid sizes, got 7"),
+        (["study-3d", "--grids", "3"],
+         "a study needs at least two grid sizes, got 3"),
+        (["study-1d", "--strategies", "arithmetic,weighted:0.5000001",
+          "--grids", "7,11"], "omega 0.5000001 prints as weighted:0.5, "
+         "which names another weight"),
+        (["study-1d-omega", "--strategies", "weighted:0.1234567",
+          "--grids", "7,11"], "omega 0.1234567 prints as "
+         "weighted:0.123457"),
     ])
     def test_malformed_run_value_exits_2(self, tmp_path, capsys, argv,
                                          message):
@@ -253,14 +264,14 @@ class TestMainExitCodes:
         assert err[0].startswith(f"config error: {message}")
         assert not list(tmp_path.rglob("effective_config.cfg"))
 
-    @pytest.mark.parametrize("command,out_dir", [
-        ("study-1d", "file"), ("solve", "file/sub")],
+    @pytest.mark.parametrize("command,grids,out_dir", [
+        ("study-1d", "7,11", "file"), ("solve", "7", "file/sub")],
         ids=["study-1d", "solve"])
-    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, command,
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, command, grids,
                                       out_dir):
         # a path that is a file, or lies under one, cannot be created
         (tmp_path / "file").write_text("")
-        rc = cli.main([command, "--grids", "7", "--strategies", "arithmetic",
+        rc = cli.main([command, "--grids", grids, "--strategies", "arithmetic",
                        "--out-dir", str(tmp_path / out_dir)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()

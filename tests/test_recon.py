@@ -34,6 +34,14 @@ class TestStrategyParsing:
         with pytest.raises(ValueError):
             Strategy("weighted", 1.5)
 
+    @pytest.mark.parametrize("name,order", [
+        ("lr-average", 2.0), ("arithmetic", 2.0), ("inverse-distance", 2.0),
+        ("one-sided-left", 1.0), ("one-sided-right", 1.0),
+        ("weighted:0.5", 2.0), ("weighted:0.5000000000001", 2.0),
+        ("weighted:0.6", 1.0), ("weighted:1", 1.0)])
+    def test_nominal_order(self, name, order):
+        assert Strategy.from_name(name).nominal_order == order
+
 
 class TestGradient1D:
     def test_exact_for_linear_fields(self):
@@ -296,6 +304,34 @@ class TestFaceScalar:
                                     t_l[:, c], t_r[:, c], d_j[:, 0],
                                     d_k[:, 0])
             assert np.array_equal(stacked[:, c], col)
+
+    @staticmethod
+    def _per_tag_reference(strategy, t_j, t_k, t_l, t_r, d_j, d_k):
+        """The face values as written tag by tag, one branch each."""
+        tag = strategy.tag
+        if tag == "lr-average":
+            return 0.5 * (t_l + t_r)
+        if tag == "arithmetic":
+            return 0.5 * (t_j + t_k)
+        if tag == "one-sided-left":
+            return t_j + 0.0
+        if tag == "one-sided-right":
+            return t_k + 0.0
+        if tag == "weighted":
+            return strategy.omega * t_j + (1.0 - strategy.omega) * t_k
+        return (t_j / d_j + t_k / d_k) / (1.0 / d_j + 1.0 / d_k)
+
+    @pytest.mark.parametrize("name", ["lr-average", "arithmetic",
+                                      "inverse-distance", "one-sided-left",
+                                      "one-sided-right", "weighted:0.3"])
+    def test_matches_per_tag_formulas_bit_for_bit(self, name):
+        rng = np.random.default_rng(27)
+        t_j, t_k, t_l, t_r = rng.uniform(-2.0, 2.0, (4, 200, 4))
+        d_j, d_k = rng.uniform(0.05, 0.3, (2, 200, 1))
+        strategy = Strategy.from_name(name)
+        got = recon.face_scalar(strategy, t_j, t_k, t_l, t_r, d_j, d_k)
+        want = self._per_tag_reference(strategy, t_j, t_k, t_l, t_r, d_j, d_k)
+        assert got.tobytes() == want.tobytes()
 
     def test_inverse_distance_zero_distance_raises(self):
         args = dict(self.ARGS, d_j=0.0)
