@@ -10,8 +10,8 @@ from .mesh import (Grid1D, Mesh3D, generate_grid_1d, generate_tet_mesh,
                    build_mesh)
 from .recon import Strategy, STRATEGY_TAGS
 from .solver import SolverConfig, NonConvergenceError
-from .verify import (ConvergenceRecord, l1_error, observed_order,
-                     finest_pair_order, run_study_1d, run_study_3d)
+from .verify import (ConvergenceRecord, l1_error, observed_orders,
+                     run_study_1d, run_study_3d)
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,6 @@ __all__ = [
     "Grid1D", "Mesh3D", "generate_grid_1d", "generate_tet_mesh",
     "build_mesh", "Strategy", "STRATEGY_TAGS",
     "SolverConfig", "NonConvergenceError", "ConvergenceRecord", "l1_error",
-    "observed_order", "finest_pair_order", "run_study_1d", "run_study_3d",
+    "observed_orders", "run_study_1d", "run_study_3d",
     "__version__",
 ]

@@ -224,18 +224,20 @@ PROBLEMS = {
 # Order-band checking (--check-orders)
 # ---------------------------------------------------------------------------
 
+#: What stdout and --check-orders say when the finest-pair order is NaN.
+UNDEFINED_ORDER = "order undefined (fewer than 2 converged rows)"
+
+
 def check_orders(records: dict, half_width: float, variable=0) -> list:
     """Return human-readable violations of the finest-pair order bands."""
     violations = []
     for name, rec in records.items():
         nominal = recon.Strategy.from_name(name).nominal_order
         lo, hi = nominal - half_width, nominal + half_width
-        try:
-            order = verify.finest_pair_order(rec, variable)
-        except verify.DegenerateOrderError as exc:
-            violations.append(f"{name}: order undefined ({exc})")
-            continue
-        if not lo <= order <= hi:
+        order = verify.observed_orders(rec, variable).finest_pair
+        if np.isnan(order):
+            violations.append(f"{name}: {UNDEFINED_ORDER}")
+        elif not lo <= order <= hi:
             violations.append(
                 f"{name}: finest-pair order {order:.3f} outside "
                 f"[{lo:.2f}, {hi:.2f}]")
@@ -262,27 +264,23 @@ def _study_exit(records: dict, args, half_width: float,
 
 def _print_summary(records: dict, variable=0) -> None:
     for name, rec in records.items():
-        try:
-            pair, slope = verify.observed_order(rec, variable)
-            fp = verify.finest_pair_order(rec, variable)
+        pair, slope, fp = verify.observed_orders(rec, variable)
+        if np.isnan(fp):
+            print(f"{name}: {UNDEFINED_ORDER}")
+        else:
             print(f"{name}: finest-pair order {fp:.3f}, "
                   f"global slope {slope:.3f}, pairwise "
                   + " ".join(f"{p:.2f}" for p in pair))
-        except verify.DegenerateOrderError as exc:
-            print(f"{name}: order undefined ({exc})")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _check_run_values(cfg: dict, entry: Problem, single: bool,
-                      strategies: list) -> None:
-    """Reject grid, perturbation, seed, strategy and output-directory values
-    that the grid generators and the studies cannot run, a study of fewer
-    than two grid sizes, and (``single``) more than one grid size or
-    strategy.  The strategies' names key their records and CSVs, so they
-    must be distinct and each must parse back to its strategy."""
+def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
+    """Reject grid, perturbation, seed and output-directory values that the
+    grid generators and the studies cannot run, a study of fewer than two
+    grid sizes, and (``single``) more than one grid size or strategy."""
     grids = cfg["grids"]
     if not grids:
         raise ConfigError("grids is empty")
@@ -298,17 +296,6 @@ def _check_run_values(cfg: dict, entry: Problem, single: bool,
                           f"got {cfg['perturbation']!r}")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be at least 0, got {cfg['seed']}")
-    if not cfg["strategies"]:
-        raise ConfigError("no strategies given")
-    names = [s.name for s in strategies]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ConfigError("strategy names must be distinct; repeated: "
-                          + ", ".join(repeated))
-    for s in strategies:
-        if recon.Strategy.from_name(s.name) != s:
-            raise ConfigError(f"omega {s.omega!r} prints as {s.name}, "
-                              "which names another weight")
     if not cfg["out_dir"]:
         raise ConfigError("out_dir is empty")
     for key in ("grids", "strategies") if single else ():
@@ -340,11 +327,11 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     solver_keys = {key.split(".", 1)[1]: value for key, value in cfg.items()
                    if key.startswith("solver.") and value is not None}
     try:
-        strategies = [recon.Strategy.from_name(n) for n in cfg["strategies"]]
+        strategies = recon.strategy_list(cfg["strategies"])
         solver_cfg = dataclasses.replace(entry.solver_defaults, **solver_keys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_run_values(cfg, entry, single, strategies)
+    _check_run_values(cfg, entry, single)
     cfg.update({key: getattr(solver_cfg, key.split(".", 1)[1])
                 for key in CONFIG_SCHEMA if key.startswith("solver.")})
     try:

@@ -83,10 +83,16 @@ def _face_values(strategy, seed, x_f):
     return recon.face_scalar(strategy, *t, x_f, 1.0 - x_f)
 
 
-def weighted_half_equals_arithmetic():
-    diff = np.abs(_face_values(Strategy("weighted", 0.5), 5, 0.45)
-                  - _face_values(ARITHMETIC, 5, 0.45)).max()
-    assert diff < 1e-15, f"|weighted(0.5) - arithmetic| = {diff}"
+def two_point_face_values():
+    """Each two-point tag on the fixed face (2, 3 | 2.4, 2.6) against its
+    face value written out; lr-average averages 2.4 and 2.6."""
+    for name, expect in (("arithmetic", 2.5), ("lr-average", 2.5),
+                         ("one-sided-left", 2.0), ("one-sided-right", 3.0),
+                         ("weighted:0.75", 2.25)):
+        value = float(recon.face_scalar(Strategy.from_name(name),
+                                        2.0, 3.0, 2.4, 2.6))
+        assert abs(value - expect) < 1e-15, \
+            f"{name} face value {value!r}, expected {expect!r}"
 
 
 def inverse_distance_equal_spacing_equals_arithmetic():
@@ -141,7 +147,7 @@ CHECKS = [
     ("lsq gradient linear exactness", lsq_gradient_linear_exactness),
     ("roe flux consistency", roe_flux_consistency),
     ("free-stream preservation", free_stream_preservation),
-    ("weighted(0.5) equals arithmetic", weighted_half_equals_arithmetic),
+    ("two-point face values", two_point_face_values),
     ("inverse-distance equal-spacing equals arithmetic",
      inverse_distance_equal_spacing_equals_arithmetic),
     ("arithmetic average boundedness", arithmetic_boundedness),

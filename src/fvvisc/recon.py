@@ -90,6 +90,29 @@ class Strategy:
         return 2.0 if w is None or abs(w - 0.5) < 1e-12 else 1.0
 
 
+def strategy_list(strategies) -> list:
+    """The strategies of a study, from names or ``Strategy`` values.
+
+    Each strategy's name keys its record and CSV, so an empty list,
+    repeated names, or a strategy whose name parses to another strategy
+    (``weighted:0.5000001`` prints as ``weighted:0.5``) is a ValueError.
+    """
+    strategies = [s if isinstance(s, Strategy) else Strategy.from_name(s)
+                  for s in strategies]
+    if not strategies:
+        raise ValueError("no strategies given")
+    names = [s.name for s in strategies]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError("strategy names must be distinct; repeated: "
+                         + ", ".join(repeated))
+    for s in strategies:
+        if Strategy.from_name(s.name) != s:
+            raise ValueError(f"omega {s.omega!r} prints as {s.name}, "
+                             "which names another weight")
+    return strategies
+
+
 @lru_cache(maxsize=None)
 def _gradient_pairs_1d(n):
     """Read-only (hi, lo) cell pairs of the n-cell gradient stencil:

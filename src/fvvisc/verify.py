@@ -1,10 +1,12 @@
-"""Discretization-error norms, observed order, and convergence studies.
+"""Discretization-error norms, observed orders, and convergence studies.
 
-A study runs one solve per (strategy, grid), records per-variable L1 errors
-against the exact solution, and derives pairwise observed orders plus a
-least-squares slope over the finest half of the grid family.  Rows whose
-solve does not converge are tagged as failed (NaN error) instead of aborting
-the study.  Results are emitted as gnuplot-compatible CSV.
+A study runs one solve per (strategy, grid) and records per-variable L1
+errors against the exact solution.  Rows whose solve does not converge are
+tagged as failed (NaN error) instead of aborting the study.
+``observed_orders`` derives every order the studies report: pairwise
+orders, a least-squares slope over the finest half of the grid family and
+the finest-pair order, each NaN where undefined.  Results are emitted as
+gnuplot-compatible CSV.
 """
 
 from __future__ import annotations
@@ -12,21 +14,18 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import diffusion1d, ns3d, solver
 from .mesh import generate_grid_1d, generate_tet_mesh
-from .recon import Strategy
+from .recon import strategy_list
 
 log = logging.getLogger(__name__)
 
 VAR_NAMES_1D = ("u",)
 VAR_NAMES_3D = ("rho", "u", "v", "w", "T")
-
-
-class DegenerateOrderError(Exception):
-    """Observed order is undefined (zero error row or too few rows)."""
 
 
 def l1_error(solution: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -81,50 +80,39 @@ class ConvergenceRecord:
         return np.array([e[variable] for e in self.errors])
 
 
-def observed_order(record: ConvergenceRecord, variable=0):
-    """Pairwise observed orders and the global least-squares slope.
+class ObservedOrders(NamedTuple):
+    """Observed orders of one variable of a record; NaN where undefined."""
 
-    Pairwise order between consecutive rows:
-    log(e_coarse/e_fine) / log(h_coarse/h_fine).  The global slope is a
-    least-squares fit of log e vs log h over the finest ceil(rows/2) rows,
-    NaN when fewer than two of them converged (always so with two rows).
-    Failed (NaN) rows are ignored in the global fit and produce NaN pairwise
-    entries.  Raises DegenerateOrderError on zero errors or fewer than two
-    rows.
-    """
-    if record.n_rows < 2:
-        raise DegenerateOrderError("need at least 2 rows")
-    e = record.error_column(variable)
-    h = np.asarray(record.h_eff)
-    if np.any(e[np.isfinite(e)] <= 0.0):
-        raise DegenerateOrderError(
-            "zero error on a row (exact solution hit); order undefined")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pair = np.log(e[:-1] / e[1:]) / np.log(h[:-1] / h[1:])
-    half = slice(record.n_rows - (record.n_rows + 1) // 2, record.n_rows)
-    eh, hh = e[half], h[half]
-    keep = np.isfinite(eh)
-    if keep.sum() < 2:
-        return pair, float("nan")
-    slope = float(np.polyfit(np.log(hh[keep]), np.log(eh[keep]), 1)[0])
-    return pair, slope
+    pairwise: np.ndarray    # between consecutive rows, one per row pair
+    slope: float            # least-squares fit over the finest half
+    finest_pair: float      # between the two finest usable rows
 
 
-def finest_pair_order(record: ConvergenceRecord, variable=0) -> float:
-    """Observed order between the two finest converged rows.
+def observed_orders(record: ConvergenceRecord, variable=0) -> ObservedOrders:
+    """Pairwise orders, global slope and finest-pair order of one variable.
 
-    This is the quantity checked against the acceptance bands (±0.2 around
-    the nominal order in 1D, ±0.3 in 3D).
+    A row enters an order only if its error is finite and positive, so a
+    failed (NaN) or exact (zero-error) row drops out on its own.  Pairwise
+    order between consecutive rows: log(e_coarse/e_fine) /
+    log(h_coarse/h_fine), NaN where either row is unusable.  The global
+    slope is a least-squares fit of log e vs log h over the usable rows
+    among the finest ceil(rows/2), NaN with fewer than two (always so with
+    two rows).  The finest-pair order is the pairwise formula over the two
+    finest usable rows; it is the quantity checked against the acceptance
+    bands (+/-0.2 around the nominal order in 1D, +/-0.3 in 3D).
     """
     e = record.error_column(variable)
     h = np.asarray(record.h_eff)
-    keep = np.isfinite(e)
-    if keep.sum() < 2:
-        raise DegenerateOrderError("fewer than 2 converged rows")
-    e, h = e[keep], h[keep]
-    if e[-1] <= 0.0 or e[-2] <= 0.0:
-        raise DegenerateOrderError("zero error row; order undefined")
-    return float(np.log(e[-2] / e[-1]) / np.log(h[-2] / h[-1]))
+    usable = np.isfinite(e) & (e > 0.0)
+    e = np.where(usable, e, np.nan)
+    pairwise = np.log(e[:-1] / e[1:]) / np.log(h[:-1] / h[1:])
+    fit = usable & (np.arange(record.n_rows) >= record.n_rows // 2)
+    slope = float(np.polyfit(np.log(h[fit]), np.log(e[fit]), 1)[0]) \
+        if fit.sum() >= 2 else np.nan
+    e, h = e[usable], h[usable]
+    finest_pair = float(np.log(e[-2] / e[-1]) / np.log(h[-2] / h[-1])) \
+        if len(e) >= 2 else np.nan
+    return ObservedOrders(pairwise, slope, finest_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +173,11 @@ def _run_study(strategies, sizes, level, var_names, out_dir, study_name):
     ``level(n, strategy, prev)`` returns the level's problem, h_eff and a
     zero-argument solve.  The problem's ``exact`` cell values give the
     error and the row's cell count N.  ``prev`` is the (problem, solution)
-    of the last converged level or None.
+    of the last converged level or None.  The strategies name the records,
+    so ``strategy_list`` checks them before any solve.
     """
     records = {}
-    for strat in [s if isinstance(s, Strategy) else Strategy.from_name(s)
-                  for s in strategies]:
+    for strat in strategy_list(strategies):
         rec = ConvergenceRecord(strat.name, var_names)
         prev = None
         for n in sizes:
@@ -216,6 +204,9 @@ def write_study_csv(records: dict, out_dir: str, study_name: str):
     (pair_order is empty on the coarsest row; comment lines start with '#').
     """
     os.makedirs(out_dir, exist_ok=True)
+    orders = {name: [observed_orders(rec, v)
+                     for v in range(len(rec.var_names))]
+              for name, rec in records.items()}
     paths = []
     for name, rec in records.items():
         fname = os.path.join(out_dir,
@@ -223,15 +214,10 @@ def write_study_csv(records: dict, out_dir: str, study_name: str):
         with open(fname, "w") as f:
             f.write(f"# {study_name} convergence table, strategy={name}\n")
             f.write("strategy,grid_label,N,h_eff,var,l1_error,pair_order\n")
-            pairs = {}
-            for v, var in enumerate(rec.var_names):
-                try:
-                    pairs[var], _ = observed_order(rec, v)
-                except DegenerateOrderError:
-                    pairs[var] = np.full(rec.n_rows - 1, np.nan)
             for i in range(rec.n_rows):
                 for v, var in enumerate(rec.var_names):
-                    p = "" if i == 0 else f"{pairs[var][i - 1]:.6f}"
+                    p = "" if i == 0 else \
+                        f"{orders[name][v].pairwise[i - 1]:.6f}"
                     f.write(f"{name},{rec.labels[i]},{rec.n_cells[i]},"
                             f"{rec.h_eff[i]:.8e},{var},"
                             f"{rec.errors[i][v]:.10e},{p}\n")
@@ -243,12 +229,7 @@ def write_study_csv(records: dict, out_dir: str, study_name: str):
                 "(least-squares over the finest half) and finest-pair orders\n")
         f.write("strategy,var,global_slope,finest_pair_order\n")
         for name, rec in records.items():
-            for v, var in enumerate(rec.var_names):
-                try:
-                    _, slope = observed_order(rec, v)
-                    pair = finest_pair_order(rec, v)
-                    f.write(f"{name},{var},{slope:.6f},{pair:.6f}\n")
-                except DegenerateOrderError:
-                    f.write(f"{name},{var},nan,nan\n")
+            for var, (_, slope, pair) in zip(rec.var_names, orders[name]):
+                f.write(f"{name},{var},{slope:.6f},{pair:.6f}\n")
     paths.append(summary)
     return paths

@@ -54,7 +54,7 @@ def test_1d_irregular_orders(study_1d, strategy, band):
     stays O(1) and the observed order is meaningless.  The other four
     strategies must pass.
     """
-    order = verify.finest_pair_order(study_1d[strategy])
+    order = verify.observed_orders(study_1d[strategy]).finest_pair
     lo, hi = band
     assert lo <= order <= hi, (
         f"{strategy}: finest-pair order {order:.3f} outside [{lo}, {hi}]")
@@ -85,7 +85,8 @@ def test_1d_regular_omega_orders(study_omega, omega, band):
     physical discrete root on the coarse-to-mid grids, spurious branch,
     non-converging error.  The other three omegas must pass.
     """
-    order = verify.finest_pair_order(study_omega[f"weighted:{omega:g}"])
+    order = verify.observed_orders(
+        study_omega[f"weighted:{omega:g}"]).finest_pair
     lo, hi = band
     assert lo <= order <= hi, (
         f"omega={omega}: finest-pair order {order:.3f} outside [{lo}, {hi}]")
@@ -109,7 +110,7 @@ def study_3d():
 @pytest.mark.parametrize("strategy", STRATEGIES_3D)
 def test_3d_density_orders(study_3d, strategy):
     records, _ = study_3d
-    order = verify.finest_pair_order(records[strategy], "rho")
+    order = verify.observed_orders(records[strategy], "rho").finest_pair
     assert 1.7 <= order <= 2.3, (
         f"{strategy}: density finest-pair order {order:.3f} "
         "outside [1.7, 2.3]")
@@ -151,8 +152,7 @@ test_roe_flux_consistency = _invariants("roe flux consistency")
 test_free_stream_preservation = _invariants("free-stream preservation")
 test_geometric_closure_and_volume_partition = _invariants(
     "geometric closure", "volume partition")
-test_weighted_half_equals_arithmetic = _invariants(
-    "weighted(0.5) equals arithmetic")
+test_two_point_face_values = _invariants("two-point face values")
 test_inverse_distance_equal_spacing_equals_arithmetic = _invariants(
     "inverse-distance equal-spacing equals arithmetic")
 test_arithmetic_boundedness_and_positivity = _invariants(

@@ -129,6 +129,22 @@ class TestCheckOrders:
         assert "undefined" in violations[0]
 
 
+class TestPrintSummary:
+    def test_defined_and_undefined_lines(self, capsys):
+        defined = ConvergenceRecord("arithmetic", ("u",))
+        for n in (16, 32, 64):
+            defined.add_row(f"n{n}", n, 1.0 / n, [3.0 / n ** 2])
+        undefined = ConvergenceRecord("one-sided-left", ("u",))
+        undefined.add_row("n16", 16, 1.0 / 16, [np.nan])
+        undefined.add_row("n32", 32, 1.0 / 32, [1e-3])
+        cli._print_summary({"arithmetic": defined,
+                            "one-sided-left": undefined})
+        assert capsys.readouterr().out.splitlines() == [
+            "arithmetic: finest-pair order 2.000, global slope 2.000, "
+            "pairwise 2.00 2.00",
+            "one-sided-left: order undefined (fewer than 2 converged rows)"]
+
+
 class TestMainExitCodes:
     def test_unknown_strategy_exits_2(self, tmp_path):
         rc = cli.main(["study-1d", "--strategies", "no-such-strategy",

@@ -43,6 +43,25 @@ class TestStrategyParsing:
         assert Strategy.from_name(name).nominal_order == order
 
 
+class TestStrategyList:
+    def test_names_and_strategies_become_strategies(self):
+        assert recon.strategy_list(["arithmetic", Strategy("weighted", 0.75)]) \
+            == [Strategy("arithmetic"), Strategy("weighted", 0.75)]
+
+    # the name-only lists are cases of test_cli's
+    # test_malformed_run_value_exits_2; these give Strategy values
+    @pytest.mark.parametrize("strategies,message", [
+        (["arithmetic", Strategy("arithmetic", 0.3)],
+         "strategy names must be distinct; repeated: arithmetic"),
+        ([Strategy("arithmetic", 0.3)],
+         "omega 0.3 prints as arithmetic, which names another weight"),
+    ])
+    def test_rejected_lists(self, strategies, message):
+        with pytest.raises(ValueError) as exc:
+            recon.strategy_list(strategies)
+        assert str(exc.value) == message
+
+
 class TestGradient1D:
     def test_exact_for_linear_fields(self):
         g = mesh.generate_grid_1d(12, seed=3)

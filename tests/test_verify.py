@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fvvisc import verify
-from fvvisc.verify import (ConvergenceRecord, DegenerateOrderError, l1_error,
-                           finest_pair_order, observed_order)
+from fvvisc import solver
+from fvvisc.recon import Strategy
+from fvvisc.verify import ConvergenceRecord, l1_error, observed_orders
 
 
 class TestL1Error:
@@ -59,45 +60,58 @@ class TestConvergenceRecord:
 
 class TestObservedOrder:
     def test_recovers_synthetic_power_law(self):
-        pair, slope = observed_order(synthetic_record(p=2.0))
+        pair, slope, _ = observed_orders(synthetic_record(p=2.0))
         assert np.abs(pair - 2.0).max() < 1e-12
         assert abs(slope - 2.0) < 1e-12
 
     def test_recovers_first_order(self):
-        pair, slope = observed_order(synthetic_record(p=1.0))
+        pair, _, _ = observed_orders(synthetic_record(p=1.0))
         assert np.abs(pair - 1.0).max() < 1e-12
 
     def test_finest_pair_order(self):
-        assert abs(finest_pair_order(synthetic_record(p=1.7)) - 1.7) < 1e-12
+        order = observed_orders(synthetic_record(p=1.7)).finest_pair
+        assert abs(order - 1.7) < 1e-12
 
     def test_finest_pair_skips_nan_rows(self):
         rec = synthetic_record(p=2.0, sizes=(8, 16, 32))
         rec.add_row("n64", 64, 1.0 / 64, [np.nan])
         # order computed from the two finest *converged* rows (16, 32)
-        assert abs(finest_pair_order(rec) - 2.0) < 1e-12
+        assert abs(observed_orders(rec).finest_pair - 2.0) < 1e-12
 
-    def test_too_few_rows_raises(self):
-        rec = synthetic_record(sizes=(8,))
-        with pytest.raises(DegenerateOrderError):
-            observed_order(rec)
-        with pytest.raises(DegenerateOrderError):
-            finest_pair_order(rec)
+    def test_too_few_rows_give_nan(self):
+        pair, slope, finest = observed_orders(synthetic_record(sizes=(8,)))
+        assert pair.shape == (0,)
+        assert np.isnan(slope) and np.isnan(finest)
 
-    def test_zero_error_raises(self):
+    def test_zero_error_gives_nan(self):
         rec = ConvergenceRecord("arithmetic", ("u",))
         rec.add_row("n8", 8, 0.125, [1e-3])
         rec.add_row("n16", 16, 0.0625, [0.0])
-        with pytest.raises(DegenerateOrderError):
-            observed_order(rec)
-        with pytest.raises(DegenerateOrderError):
-            finest_pair_order(rec)
+        pair, slope, finest = observed_orders(rec)
+        assert np.isnan(pair).all() and np.isnan(slope) and np.isnan(finest)
 
-    def test_all_nan_rows_raise(self):
+    def test_all_nan_rows_give_nan(self):
         rec = ConvergenceRecord("arithmetic", ("u",))
         rec.add_row("n8", 8, 0.125, [np.nan])
         rec.add_row("n16", 16, 0.0625, [np.nan])
-        with pytest.raises(DegenerateOrderError):
-            finest_pair_order(rec)
+        pair, slope, finest = observed_orders(rec)
+        assert np.isnan(pair).all() and np.isnan(slope) and np.isnan(finest)
+
+    def test_zero_error_row_is_skipped(self):
+        # only the exact row drops out: the others keep their orders
+        rec = synthetic_record(p=2.0, sizes=(8, 16, 32, 64, 128))
+        rec.errors[3] = np.array([0.0])
+        pair, slope, finest = observed_orders(rec)
+        assert np.abs(pair[:2] - 2.0).max() < 1e-12
+        assert np.isnan(pair[2:]).all()
+        assert abs(slope - 2.0) < 1e-12
+        assert abs(finest - 2.0) < 1e-12
+
+    def test_two_rows_give_nan_slope_and_defined_finest_pair(self):
+        pair, slope, finest = observed_orders(synthetic_record(sizes=(8, 16)))
+        assert abs(pair[0] - 2.0) < 1e-12
+        assert np.isnan(slope)
+        assert abs(finest - 2.0) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +136,25 @@ class TestStudy1D:
         e_os = records_1d["one-sided-right"].error_column(0)[-1]
         e_ar = records_1d["arithmetic"].error_column(0)[-1]
         assert e_os > 5.0 * e_ar
+
+
+class TestStudyStrategies:
+    # a study keys its records by strategy name, so colliding names are
+    # rejected before any solve
+    @pytest.mark.parametrize("run,sizes", [
+        (verify.run_study_1d, (7, 11)), (verify.run_study_3d, (2, 3)),
+    ], ids=["1d", "3d"])
+    def test_colliding_names_raise_before_any_solve(self, monkeypatch, run,
+                                                    sizes):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(solver, "solve_diffusion_1d", no_solve)
+        monkeypatch.setattr(solver, "solve_ns3d", no_solve)
+        strategies = [Strategy("arithmetic"), Strategy("arithmetic", 0.3),
+                      "weighted:0.5000001", "weighted:0.5"]
+        with pytest.raises(ValueError, match="repeated: arithmetic, "
+                           "weighted:0.5"):
+            run(strategies, sizes=sizes)
 
 
 class TestStudyCellCounts:
