@@ -1,13 +1,14 @@
 """Command-line entry point binding key=value configs to studies.
 
 Subcommands: study-1d, study-1d-omega, study-3d, solve, selftest.
-Configuration is layered with precedence CLI flag > environment
-(FVVISC_ prefix) > config file > built-in default, and a flag that sets a
-config key is parsed like its config-file value; the effective config is
-written next to the output so any run can be reproduced from its
-artifacts.  The studies and ``solve`` read ``PROBLEMS``: per model problem,
-its config and solver defaults, smallest grid size, variables, order band,
-and how to run a study or build and solve one grid.
+Configuration is layered with precedence CLI flag or --set > environment
+(FVVISC_ prefix) > config file > problem and subcommand defaults > built-in
+default, and a flag that sets a config key is parsed like its config-file
+value; the effective config is written next to the output so any run can be
+reproduced from its artifacts.  The studies and ``solve`` read
+``PROBLEMS``: per model problem, its config and solver defaults, smallest
+grid size, variables, order band, and how to run a study or build and
+solve one grid.
 Exit codes: 0 success, 1 a selftest check failed, 2 config error,
 3 solver non-convergence, 4 acceptance-band violation under
 --check-orders.
@@ -43,20 +44,19 @@ ENV_PREFIX = "FVVISC_"
 DEFAULT_SEED = 2604
 
 # Flat dotted-key schema: key -> (type tag, default).  Type tags:
-# int, float, bool, str, int-list, str-list.  The defaults are those of the
+# int, float, str, int-list, str-list.  The defaults are those of the
 # diffusion1d problem; PROBLEMS overrides them per problem.
 CONFIG_SCHEMA = {
     "problem": ("str", "diffusion1d"),
     "grids": ("int-list", list(verify.GRID_SIZES_1D)),
-    "regular": ("bool", False),
     "strategies": ("str-list", ["lr-average", "inverse-distance",
                                 "arithmetic", "one-sided-left",
                                 "one-sided-right"]),
     "perturbation": ("float", 0.3),
     "seed": ("int", DEFAULT_SEED),
     "out_dir": ("str", "out"),
-    "solver.target_drop": ("float", None),
-    "solver.max_iterations": ("int", None),
+    "solver.target_drop": ("float", solver.SolverConfig.target_drop),
+    "solver.max_iterations": ("int", solver.SolverConfig.max_iterations),
 }
 
 #: study-1d-omega's default strategies: left weights 0.5, 0.6, 0.75 and 1.
@@ -78,7 +78,7 @@ class ConfigError(Exception):
 
 def _parse_value(key: str, raw: str):
     kind, _, is_list = CONFIG_SCHEMA[key][0].partition("-")
-    parse = {"int": int, "float": float, "bool": _parse_bool, "str": str}[kind]
+    parse = {"int": int, "float": float, "str": str}[kind]
     try:
         if is_list:
             return [parse(v.strip()) for v in raw.split(",") if v.strip()]
@@ -87,30 +87,17 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes", "on"):
-        return True
-    if raw.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _format_value(key: str, value) -> str:
     kind = CONFIG_SCHEMA[key][0]
-    if value is None:
-        return ""
     if kind.endswith("-list"):
         return ",".join(str(v) for v in value)
-    if kind == "bool":
-        return "true" if value else "false"
     if kind == "float":
         return repr(float(value))
     return str(value)
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse a key=value config file (# comments, dotted nested keys); an
-    empty value keeps the default None of the ``solver.*`` keys."""
+    """Parse a key=value config file (# comments, dotted nested keys)."""
     overrides = {}
     try:
         with open(path) as f:
@@ -127,8 +114,7 @@ def parse_config_file(path: str) -> dict:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        keeps_none = not raw and CONFIG_SCHEMA[key][1] is None
-        overrides[key] = None if keeps_none else _parse_value(key, raw)
+        overrides[key] = _parse_value(key, raw)
     return overrides
 
 
@@ -213,7 +199,8 @@ PROBLEMS = {
         defaults={"grids": list(verify.GRID_SIZES_3D),
                   "strategies": ["lr-average", "arithmetic",
                                  "inverse-distance"],
-                  "perturbation": 0.1},
+                  "perturbation": 0.1,
+                  "solver.target_drop": solver.NS3D_CONFIG.target_drop},
         min_size=mesh.MIN_CELLS_3D, solver_defaults=solver.NS3D_CONFIG,
         var_names=verify.VAR_NAMES_3D, half_width=0.3,
         study=verify.run_study_3d, build=_build_3d, solve=solver.solve_ns3d),
@@ -228,13 +215,13 @@ PROBLEMS = {
 UNDEFINED_ORDER = "order undefined (fewer than 2 converged rows)"
 
 
-def check_orders(records: dict, half_width: float, variable=0) -> list:
+def check_orders(records: dict, half_width: float) -> list:
     """Return human-readable violations of the finest-pair order bands."""
     violations = []
     for name, rec in records.items():
         nominal = recon.Strategy.from_name(name).nominal_order
         lo, hi = nominal - half_width, nominal + half_width
-        order = verify.observed_orders(rec, variable).finest_pair
+        order = verify.observed_orders(rec).finest_pair
         if np.isnan(order):
             violations.append(f"{name}: {UNDEFINED_ORDER}")
         elif not lo <= order <= hi:
@@ -244,8 +231,7 @@ def check_orders(records: dict, half_width: float, variable=0) -> list:
     return violations
 
 
-def _study_exit(records: dict, args, half_width: float,
-                variable=0) -> int:
+def _study_exit(records: dict, args, half_width: float) -> int:
     failed = [f"{name} @ {rec.labels[i]}"
               for name, rec in records.items()
               for i in range(rec.n_rows)
@@ -254,7 +240,7 @@ def _study_exit(records: dict, args, half_width: float,
         print("non-converged rows: " + ", ".join(failed), file=sys.stderr)
         return EXIT_NONCONVERGENCE
     if args.check_orders:
-        violations = check_orders(records, half_width, variable)
+        violations = check_orders(records, half_width)
         if violations:
             for v in violations:
                 print("order-band violation: " + v, file=sys.stderr)
@@ -262,9 +248,9 @@ def _study_exit(records: dict, args, half_width: float,
     return EXIT_OK
 
 
-def _print_summary(records: dict, variable=0) -> None:
+def _print_summary(records: dict) -> None:
     for name, rec in records.items():
-        pair, slope, fp = verify.observed_orders(rec, variable)
+        pair, slope, fp = verify.observed_orders(rec)
         if np.isnan(fp):
             print(f"{name}: {UNDEFINED_ORDER}")
         else:
@@ -313,27 +299,22 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
     override the problem's defaults (OMEGA_STRATEGIES, SOLVE_DEFAULTS);
     ``single`` allows one grid size and one strategy only.  A layered
     ``problem`` other than the one that runs is rejected, so the effective
-    config never records a problem it did not run; a regular run records
-    the perturbation it uses, 0, and every run its solver values."""
+    config never records a problem it did not run."""
     entry = PROBLEMS[problem]
     cfg = build_config(_cli_overrides(args), args.config,
                        {"problem": problem, **entry.defaults,
                         **run_defaults})
-    if cfg["regular"]:
-        cfg["perturbation"] = 0.0
     if cfg["problem"] != problem:
         raise ConfigError(f"problem = {cfg['problem']} is set, but this "
                           f"command runs {problem}")
-    solver_keys = {key.split(".", 1)[1]: value for key, value in cfg.items()
-                   if key.startswith("solver.") and value is not None}
     try:
         strategies = recon.strategy_list(cfg["strategies"])
-        solver_cfg = dataclasses.replace(entry.solver_defaults, **solver_keys)
+        solver_cfg = dataclasses.replace(
+            entry.solver_defaults, target_drop=cfg["solver.target_drop"],
+            max_iterations=cfg["solver.max_iterations"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_run_values(cfg, entry, single)
-    cfg.update({key: getattr(solver_cfg, key.split(".", 1)[1])
-                for key in CONFIG_SCHEMA if key.startswith("solver.")})
     try:
         os.makedirs(cfg["out_dir"], exist_ok=True)
         write_effective_config(cfg, os.path.join(cfg["out_dir"],
@@ -353,12 +334,11 @@ def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
     records = entry.study(
         strategies, sizes=cfg["grids"], perturbation=cfg["perturbation"],
         seed=cfg["seed"], solver_cfg=solver_cfg, out_dir=cfg["out_dir"])
-    variable = entry.var_names[0]
-    _print_summary(records, variable)
+    _print_summary(records)
     half = entry.half_width
     if omega_sweep and all(s.nominal_order == 2.0 for s in strategies):
         half = 0.1
-    return _study_exit(records, args, half, variable)
+    return _study_exit(records, args, half)
 
 
 def cmd_solve(args) -> int:
@@ -427,8 +407,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--grids", help="comma-separated sizes")
     p.add_argument("--strategies", help="comma-separated strategy names")
-    p.add_argument("--regular", action="store_const", const="true",
-                   help="regular (unperturbed) grids and meshes")
     p.add_argument("--seed", help="grid-perturbation seed")
     p.add_argument("--perturbation",
                    help="relative node-perturbation amplitude")

@@ -85,7 +85,10 @@ class Strategy:
     @property
     def nominal_order(self) -> float:
         """2 for a symmetric average (a left weight within 1e-12 of 1/2) or
-        the linearly exact inverse-distance rule, 1 otherwise."""
+        inverse-distance, 1 otherwise.  Inverse-distance is linearly exact
+        only in 1D: on tets the face centroid lies off the segment between
+        the cell centroids, and it is second order for the same reason the
+        arithmetic average is."""
         w = self.left_weight
         return 2.0 if w is None or abs(w - 0.5) < 1e-12 else 1.0
 

@@ -432,12 +432,10 @@ def _jacobian_1d(problem, u, cfl, evaluated=None, out=None):
     return out
 
 
-def solve_diffusion_1d(problem, cfg: SolverConfig | None = None,
+def solve_diffusion_1d(problem, cfg: SolverConfig = SolverConfig(),
                        u0: np.ndarray | None = None):
     """Drive the 1D problem to steady state from u0 (by default the
     problem's initial state, its end cells pinned); returns (u, history)."""
-    if cfg is None:
-        cfg = SolverConfig()
     if u0 is None:
         u0 = problem.initial_state()
     u0 = diffusion1d.apply_boundary_closure(problem, u0)
@@ -563,7 +561,7 @@ def _matvec_ns3d(problem, w, res):
     return matvec
 
 
-def solve_ns3d(problem, cfg: SolverConfig | None = None):
+def solve_ns3d(problem, cfg: SolverConfig = NS3D_CONFIG):
     """Drive the 3D MMS problem to steady state by Newton-Krylov steps from
     the exact solution; returns (states, history).
 
@@ -575,8 +573,6 @@ def solve_ns3d(problem, cfg: SolverConfig | None = None):
     steps.  A step that leaves the physical state space, or whose residual
     is not finite or rises 2.5-fold, raises NonConvergenceError at once.
     """
-    if cfg is None:
-        cfg = NS3D_CONFIG
     unpinned = ~problem.pinned
 
     def evaluate(w):

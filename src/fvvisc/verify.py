@@ -125,7 +125,7 @@ GRID_SIZES_3D = (7, 11, 15)
 
 def run_study_1d(strategies, sizes=GRID_SIZES_1D, perturbation: float = 0.3,
                  seed: int = 0,
-                 solver_cfg: solver.SolverConfig | None = None,
+                 solver_cfg: solver.SolverConfig = solver.SolverConfig(),
                  out_dir: str | None = None):
     """1D nonlinear-diffusion convergence study; returns {name: record}.
 
@@ -147,7 +147,7 @@ def run_study_1d(strategies, sizes=GRID_SIZES_1D, perturbation: float = 0.3,
 
 def run_study_3d(strategies, sizes=GRID_SIZES_3D, perturbation: float = 0.1,
                  seed: int = 0,
-                 solver_cfg: solver.SolverConfig | None = None,
+                 solver_cfg: solver.SolverConfig = solver.NS3D_CONFIG,
                  out_dir: str | None = None):
     """3D Navier-Stokes MMS convergence study; returns {name: record}.
 

@@ -16,12 +16,13 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # keys that are not configurable: alpha and the flow constants are module
 # constants (recon.ALPHA, physics.MACH ...), the omegas are study-1d-omega's
 # default strategies, the CFL schedule and linear solve are fixed per
-# problem in the solver, and the error norm is always the cell mean
+# problem in the solver, the error norm is always the cell mean, and a regular
+# (unperturbed) run is perturbation 0
 REMOVED_KEYS = ("omegas", "alpha", "flow.mach", "flow.reynolds", "flow.t_ref",
                 "flow.sutherland_c", "flow.gamma", "flow.prandtl",
                 "solver.cfl_initial", "solver.cfl_growth", "solver.cfl_max",
                 "solver.linear_sweeps", "solver.jacobian_lag",
-                "volume_weighted")
+                "volume_weighted", "regular")
 
 
 class TestConfigParsing:
@@ -35,11 +36,9 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text("# comment line\n"
                         "grids = 7,11,15   # trailing comment\n"
-                        "regular = true\n"
                         "solver.target_drop = 6.5\n")
         cfg = cli.build_config({}, str(path), environ={})
         assert cfg["grids"] == [7, 11, 15]
-        assert cfg["regular"] is True
         assert cfg["solver.target_drop"] == 6.5
 
     def test_env_overrides_file(self, tmp_path):
@@ -83,15 +82,8 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.build_config({}, environ={"FVVISC_BOGUS": "1"})
 
-    def test_empty_solver_value_keeps_the_default(self, tmp_path):
-        # effective configs that recorded no solver values still reparse
-        path = tmp_path / "run.cfg"
-        path.write_text("solver.target_drop =\nsolver.max_iterations = \n")
-        assert cli.parse_config_file(str(path)) == {
-            "solver.target_drop": None, "solver.max_iterations": None}
-
     def test_effective_config_roundtrip(self, tmp_path):
-        cfg = cli.build_config({"grids": [7, 11], "regular": True},
+        cfg = cli.build_config({"grids": [7, 11]},
                                environ={"FVVISC_PERTURBATION": "0.2"})
         path = tmp_path / "effective_config.cfg"
         cli.write_effective_config(cfg, str(path))
@@ -259,12 +251,12 @@ class TestMainExitCodes:
         ([], {}, "seed =\n", "bad value for seed"),
         ([], {}, "perturbation =\n", "bad value for perturbation"),
         ([], {}, "strategies =\n", "no strategies given"),
-        ([], {}, "regular =\n", "bad value for regular"),
+        ([], {}, "solver.target_drop =\n", "bad value for solver.target_drop"),
         ([], {}, "out_dir =\n", "out_dir is empty"),
         (["--out-dir", ""], {}, "", "out_dir is empty"),
         ([], {"FVVISC_OUT_DIR": ""}, "", "out_dir is empty"),
-    ], ids=["seed", "perturbation", "strategies", "regular", "out_dir",
-            "out-dir-flag", "out-dir-environment"])
+    ], ids=["seed", "perturbation", "strategies", "solver.target_drop",
+            "out_dir", "out-dir-flag", "out-dir-environment"])
     def test_empty_value_exits_2(self, tmp_path, capsys, monkeypatch, argv,
                                  env, config, message):
         monkeypatch.chdir(tmp_path)
@@ -361,19 +353,18 @@ class TestMainExitCodes:
     def test_omega_sweep_takes_strategies_from_the_environment(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("FVVISC_STRATEGIES", "arithmetic")
-        rc = cli.main(["study-1d-omega", "--regular", "--grids", "7,11",
+        rc = cli.main(["study-1d-omega", "--grids", "7,11",
                        "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_OK
         tables = {p.name for p in tmp_path.glob("study-1d_*.csv")}
         assert tables == {"study-1d_arithmetic.csv", "study-1d_summary.csv"}
 
-    def test_regular_run_records_the_perturbation_it_uses(self, tmp_path):
+    def test_unperturbed_run_reparses_to_the_same_tables(self, tmp_path):
         first, again = tmp_path / "first", tmp_path / "again"
-        rc = cli.main(["study-1d-omega", "--regular", "--grids", "7,11",
-                       "--out-dir", str(first)])
+        rc = cli.main(["study-1d-omega", "--perturbation", "0",
+                       "--grids", "7,11", "--out-dir", str(first)])
         assert rc == cli.EXIT_OK
         cfg = (first / "effective_config.cfg").read_text().splitlines()
-        assert "regular = true" in cfg
         assert "perturbation = 0.0" in cfg
         rc = cli.main(["study-1d-omega", "--config",
                        str(first / "effective_config.cfg"),
@@ -455,16 +446,17 @@ class TestSolveArtifacts:
         assert not any(r.startswith("reference,") for r in hist[3:])
 
     @pytest.mark.parametrize("argv,env,perturbation", [
-        ([], {}, "0.1"),
-        (["--perturbation", "0.05"], {}, "0.05"),
-        ([], {"FVVISC_PERTURBATION": "0.05"}, "0.05"),
+        (["--grids", "11"], {}, "0.1"),
+        (["--grids", "3", "--perturbation", "0.05"], {}, "0.05"),
+        (["--grids", "3"], {"FVVISC_PERTURBATION": "0.05"}, "0.05"),
     ])
     def test_solve_ns3d_defaults_to_the_ns3d_perturbation(
             self, tmp_path, monkeypatch, argv, env, perturbation):
-        # the 1D default 0.3 inverts tets at n = 11 (a config error, exit 2)
+        # the 1D default 0.3 inverts tets at n = 11 (a config error, exit 2);
+        # a set perturbation is taken as set at any size
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        rc = cli.main(["solve", "--problem", "ns3d", "--grids", "11", *argv,
+        rc = cli.main(["solve", "--problem", "ns3d", *argv,
                        "--set", "solver.max_iterations=1",
                        "--set", "solver.target_drop=12",
                        "--out-dir", str(tmp_path)])
@@ -485,9 +477,11 @@ class TestSolveArtifacts:
         assert "strategies = lr-average" in cfg
 
     def test_regular_ns3d_solve_is_the_unperturbed_mesh(self, tmp_path):
+        # an unperturbed mesh draws nothing, so its seed does not matter
         solutions = {}
-        for name, argv in (("regular", ["--regular"]),
-                           ("flat", ["--perturbation", "0"]),
+        for name, argv in (("flat", ["--perturbation", "0"]),
+                           ("flat-seed-7", ["--perturbation", "0",
+                                            "--seed", "7"]),
                            ("perturbed", [])):
             out = tmp_path / name
             rc = cli.main(["solve", "--problem", "ns3d", "--grids", "3",
@@ -495,8 +489,8 @@ class TestSolveArtifacts:
                            "--out-dir", str(out)])
             assert rc == cli.EXIT_OK
             solutions[name] = (out / "solution.csv").read_bytes()
-        assert solutions["regular"] == solutions["flat"]
-        assert solutions["regular"] != solutions["perturbed"]
+        assert solutions["flat"] == solutions["flat-seed-7"]
+        assert solutions["flat"] != solutions["perturbed"]
 
 
 class TestReadme:

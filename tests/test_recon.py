@@ -367,3 +367,29 @@ class TestFaceScalar:
             assert np.all(f >= np.minimum(t_j, t_k) - 1e-14)
             assert np.all(f <= np.maximum(t_j, t_k) + 1e-14)
             assert np.all(f > 0.0)
+
+    def test_only_lr_average_is_linearly_exact_on_tets(self):
+        # the face centroid lies off the segment between the two cell
+        # centroids, so a two-point rule on cell values (inverse-distance
+        # included) misses a linear field at the face; only the linearly
+        # reconstructed values hit it
+        m = mesh.generate_tet_mesh(7, perturbation=0.1, seed=2611)
+        coef, const = np.array([0.7, -1.3, 2.1]), 0.4
+        t = m.cell_centroid @ coef + const
+        grads = recon.lsq_gradient_3d(m, t[:, None])
+        fi = m.interior_faces
+        o, k = m.face_owner[fi], m.face_neighbor[fi]
+        xf = m.face_centroid[fi]
+        off_o, off_k = xf - m.cell_centroid[o], xf - m.cell_centroid[k]
+        t_l, t_r = recon.reconstruct_lr(t[o][None], grads[..., o],
+                                        t[k][None], grads[..., k],
+                                        off_o.T, off_k.T)
+        d_o, d_k = np.linalg.norm(off_o, axis=1), np.linalg.norm(off_k, axis=1)
+
+        def error(tag):
+            t_f = recon.face_scalar(Strategy(tag), t[o], t[k], t_l[0], t_r[0],
+                                    d_o, d_k)
+            return np.abs(t_f - (xf @ coef + const)).max()
+        assert error("lr-average") < 1e-13
+        assert error("inverse-distance") > 1e-3
+        assert error("arithmetic") > 1e-3
