@@ -4,8 +4,9 @@ Exact solution u_e = exp(2x) on [0, 1]; the forcing is the analytic
 f(x) = -12 exp(6x).  The finite-volume flux uses the alpha-damped face
 derivative (alpha = recon.ALPHA), and the face viscosity nu_{j+1/2} is
 evaluated from squared cell or reconstructed values under a selectable
-strategy.  The first and last cells are pinned to the exact solution with
-zero residual.
+strategy.  The first and last cells are the pinned cells
+(``Diffusion1DProblem.pinned``): ``Diffusion1DProblem.pin`` holds them at
+the exact solution, and their residual is zero.
 """
 
 from __future__ import annotations
@@ -41,16 +42,20 @@ class Diffusion1DProblem:
         self.exact = exact_solution(x)
         self.forcing = forcing(x)
         self.source = self.forcing * self.grid.cell_volumes
-        # exact values of the pinned first and last cells
-        self.boundary_values = self.exact[::x.size - 1]
         # face-to-centroid distances of the left and right cells, and the
         # cell-center spacing across each face
         xf = self.grid.face_coords
         self.f_dist = (xf - x[:-1], x[1:] - xf)
         self.f_spacing = x[1:] - x[:-1]
 
+    def pin(self, u: np.ndarray) -> np.ndarray:
+        """Write the exact solution into the pinned cells of u, in place;
+        returns u."""
+        u[self.pinned] = self.exact[self.pinned]
+        return u
+
     def initial_state(self) -> np.ndarray:
-        """Linear interpolant between the pinned boundary-cell values.
+        """Linear interpolant between the exact end-cell values, pinned.
 
         The problem is nonlinear (nu = u^2) and admits spurious discrete
         roots far from the physical solution; a boundary-respecting initial
@@ -58,17 +63,8 @@ class Diffusion1DProblem:
         a constant start does not.
         """
         x = self.grid.cell_centers
-        ua, ub = self.boundary_values
-        u = ua + (ub - ua) * (x - x[0]) / (x[-1] - x[0])
-        return apply_boundary_closure(self, u)
-
-
-def apply_boundary_closure(problem: Diffusion1DProblem,
-                           u: np.ndarray) -> np.ndarray:
-    """Pin the first and last cells to the exact solution."""
-    u = np.array(u, dtype=float)
-    u[0], u[-1] = problem.boundary_values
-    return u
+        ua, ub = self.exact[[0, -1]]
+        return self.pin(ua + (ub - ua) * (x - x[0]) / (x[-1] - x[0]))
 
 
 def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
@@ -93,8 +89,7 @@ def face_fluxes(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
     return nu * dudx_f
 
 
-def residual_1d(problem: Diffusion1DProblem, u: np.ndarray,
-                with_closure: bool = True) -> np.ndarray:
+def residual_1d(problem: Diffusion1DProblem, u: np.ndarray) -> np.ndarray:
     """Cell residual of the conservation law; pinned cells get zero.
 
     The physical flux of -d/dx(nu du/dx) = f is -phi with phi = nu u_x, so
@@ -111,6 +106,5 @@ def residual_1d(problem: Diffusion1DProblem, u: np.ndarray,
     np.subtract(0.0, phi[..., 0], out=res[..., 0])
     res[..., -1] = phi[..., -1]
     res -= problem.source
-    if with_closure:
-        res[..., problem.pinned] = 0.0
+    res[..., problem.pinned] = 0.0
     return res

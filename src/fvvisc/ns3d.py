@@ -7,8 +7,9 @@ divergence of the exact total flux, in closed form) makes it a steady
 solution of the discretized system.  The closed form assumes that every
 variable is a constant plus the same psi(s): a change of psi needs a new
 forcing, or the finite-difference oracle check in ``fvvisc.invariants``
-fails.  Cells adjacent to a boundary face are pinned to the exact solution
-and carry zero residual.
+fails.  Cells adjacent to a boundary face are pinned
+(``NS3DProblem.pinned``): ``NS3DProblem.pin`` holds them at the exact
+solution, and their residual is zero.
 
 Layout.  Cell arrays keep the variables last, (C, 5), as the solver reads
 them; face arrays are per-variable rows, (5, F), (3, F) or (5, 3, F), the
@@ -140,23 +141,22 @@ class NS3DProblem:
               np.concatenate((faces, faces)))),
             shape=(self.mesh.n_cells, len(fi)))
 
-    def initial_state(self) -> np.ndarray:
-        """Free-stream constants everywhere, exact solution in pinned cells."""
-        w = np.tile(MMS_CONSTANTS, (self.mesh.n_cells, 1))
+    def pin(self, w: np.ndarray) -> np.ndarray:
+        """Write the exact solution into the pinned cells of w, in place;
+        returns w."""
         w[self.pinned] = self.exact[self.pinned]
         return w
 
+    def initial_state(self) -> np.ndarray:
+        """Free-stream constants everywhere, exact solution in pinned cells."""
+        return self.pin(np.tile(MMS_CONSTANTS, (self.mesh.n_cells, 1)))
 
-def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
-                  with_closure: bool = True,
-                  include_forcing: bool = True) -> np.ndarray:
+
+def residual_ns3d(problem: NS3DProblem, states: np.ndarray) -> np.ndarray:
     """Per-cell residual: sum of face fluxes times areas minus forcing * volume.
 
-    Interior faces only (boundary faces border pinned cells, whose residuals
-    are zeroed by the closure).  With ``with_closure=False`` the raw assembled
-    residual is returned, which telescopes: its sum over all cells equals
-    minus the total forcing.  ``include_forcing=False`` drops the source term
-    (used by the free-stream preservation check).
+    Interior faces only: boundary faces border pinned cells, whose residuals
+    are zero.
 
     The cell layout, (C, 5), meets the face layout here: the states and
     gradients are gathered by face as per-variable rows, (5, F) and
@@ -183,8 +183,6 @@ def residual_ns3d(problem: NS3DProblem, states: np.ndarray,
                                         mu_f, problem.f_nhat)
 
     res = problem.f_incidence @ flux.T
-    if include_forcing:
-        res -= problem.source
-    if with_closure:
-        res[problem.pinned] = 0.0
+    res -= problem.source
+    res[problem.pinned] = 0.0
     return res

@@ -9,9 +9,9 @@ Layout.  The face fluxes take and return per-variable rows: a state is
 (5, ...), a vector (3, ...) and a velocity gradient (3, 3, ...), and every
 flux routine broadcasts over the trailing axes by NumPy's own rules, so one
 call serves a whole array of faces and every step runs over contiguous
-arrays of faces.  The cell-state routines (``pressure``, the conversions
-and ``inviscid_flux_jacobian``) keep the variables on the last axis, the
-layout of the solver's (C, 5) states.
+arrays of faces.  The cell-state routines (the conversions and
+``inviscid_flux_jacobian``) keep the variables on the last axis, the layout
+of the solver's (C, 5) states.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ class InvalidStateError(Exception):
 
 class NonpositiveTemperatureError(Exception):
     """A face temperature fed to the viscosity law is not positive."""
-
-
-def pressure(w: np.ndarray) -> np.ndarray:
-    return w[..., 0] * w[..., 4] / GAMMA
 
 
 def prim_to_cons(w: np.ndarray) -> np.ndarray:

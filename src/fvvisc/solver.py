@@ -239,9 +239,10 @@ def solve_defect_correction(problem, u0, apply_update_fn, cfg: SolverConfig):
     """The 1D pseudo-transient loop, with SER pseudo-time control; returns
     (u, history).
 
-    apply_update_fn(u, du) -> new u has one value, the pinned sum of
-    ``solve_diffusion_1d``; it stays a parameter only because the benchmark
-    binds it by name to count step attempts.
+    apply_update_fn(u, du) -> new u has one value, the sum u + du with its
+    pinned cells reset by ``problem.pin`` (``solve_diffusion_1d``); it stays
+    a parameter only because the benchmark binds it by name to count step
+    attempts.
 
     The loop evaluates each state it tries once (``_evaluate_1d``) and holds
     the difference steps, stacked residual and norms of the accepted state
@@ -249,9 +250,9 @@ def solve_defect_correction(problem, u0, apply_update_fn, cfg: SolverConfig):
     step attempt builds the Jacobian at the accepted state from its stack,
     into one CSC container per solve, factors it afresh by sparse LU and
     solves it for du = -J^-1 res.  The norm is the mean absolute residual
-    over the unpinned (interior) cells; the target is ``cfg.target_drop``
-    orders below the norm of u0, and an absolute 1e-14 also counts as
-    converged.
+    over the cells that ``problem.pinned`` leaves free; the target is
+    ``cfg.target_drop`` orders below the norm of u0, and an absolute 1e-14
+    also counts as converged.
 
     Pseudo-transient continuation: the CFL starts at 10, doubles after each
     accepted step up to 1e8, and is cut back whenever a step blows the
@@ -259,11 +260,12 @@ def solve_defect_correction(problem, u0, apply_update_fn, cfg: SolverConfig):
     raise NonConvergenceError with the last reason.  ``cfg.max_iterations``
     caps the steps; the state after the last allowed step is still checked.
     """
-    n = u0.size
+    free = np.flatnonzero(~problem.pinned)
 
     def evaluate(u):
         step, stack = _evaluate_1d(problem, u)
-        return step, stack, np.abs(stack[0, 1:-1]).sum(keepdims=True) / (n - 2)
+        return (step, stack,
+                np.abs(stack[0, free]).sum(keepdims=True) / free.size)
 
     history = IterationHistory()
     u = u0
@@ -434,20 +436,13 @@ def _jacobian_1d(problem, u, cfl, evaluated=None, out=None):
 
 def solve_diffusion_1d(problem, cfg: SolverConfig = SolverConfig(),
                        u0: np.ndarray | None = None):
-    """Drive the 1D problem to steady state from u0 (by default the
-    problem's initial state, its end cells pinned); returns (u, history)."""
+    """Drive the 1D problem to steady state from a pinned copy of u0 (by
+    default the problem's initial state); returns (u, history)."""
     if u0 is None:
         u0 = problem.initial_state()
-    u0 = diffusion1d.apply_boundary_closure(problem, u0)
-
-    def update_fn(u, du):
-        # pin the first and last cells of the fresh sum, as
-        # apply_boundary_closure does, without copying it again
-        u_new = u + du
-        u_new[::u_new.size - 1] = problem.boundary_values
-        return u_new
-
-    return solve_defect_correction(problem, u0, update_fn, cfg)
+    return solve_defect_correction(
+        problem, problem.pin(np.array(u0, dtype=float)),
+        lambda u, du: problem.pin(u + du), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +527,6 @@ def _jacobian_ns3d(problem, w):
                          shape=(5 * nc, 5 * nc))
 
 
-def _pinned_prim(problem, u):
-    """Primitive states of conservative states u, pinned cells exact."""
-    w = physics.cons_to_prim(u)
-    w[problem.pinned] = problem.exact[problem.pinned]
-    return w
-
-
 def _matvec_ns3d(problem, w, res):
     """Jacobian-free product v -> J(w) v of the residual in conservative
     variables over the flattened unknowns: a forward difference with step
@@ -554,7 +542,7 @@ def _matvec_ns3d(problem, w, res):
         if v_norm == 0.0:
             return np.zeros_like(v)
         eps = scale / v_norm
-        w_eps = _pinned_prim(problem, u + eps * v.reshape(u.shape))
+        w_eps = problem.pin(physics.cons_to_prim(u + eps * v.reshape(u.shape)))
         jv = (ns3d.residual_ns3d(problem, w_eps) - res).ravel() / eps
         jv[pinned_rows] = v[pinned_rows]
         return jv
@@ -584,7 +572,7 @@ def solve_ns3d(problem, cfg: SolverConfig = NS3D_CONFIG):
         u = physics.prim_to_cons(w)
         scale = 1.0
         for _ in range(25):
-            w_new = _pinned_prim(problem, u + scale * du)
+            w_new = problem.pin(physics.cons_to_prim(u + scale * du))
             if np.all(w_new[:, 0] > 0.0) and np.all(w_new[:, 4] > 0.0):
                 return w_new
             scale *= 0.5

@@ -1,5 +1,7 @@
 """1D nonlinear diffusion problem: oracles and residual structure."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,14 @@ from fvvisc.recon import Strategy
 def make_problem(n=15, strategy="arithmetic", perturbation=0.3, seed=0):
     g = mesh.generate_grid_1d(n, perturbation=perturbation, seed=seed)
     return diffusion1d.Diffusion1DProblem(g, Strategy.from_name(strategy))
+
+
+def unpinned(problem):
+    """A copy of problem with no pinned cells: its residual is the raw
+    assembled one."""
+    q = copy.copy(problem)
+    q.pinned = np.zeros_like(problem.pinned)
+    return q
 
 
 def face_viscosity(grid, strategy, u):
@@ -53,7 +63,7 @@ class TestResidual:
         # minus the total forcing
         p = make_problem(n=21, seed=3)
         u = diffusion1d.exact_solution(p.grid.cell_centers) * 1.07
-        res = diffusion1d.residual_1d(p, u, with_closure=False)
+        res = diffusion1d.residual_1d(unpinned(p), u)
         total_forcing = (p.forcing * p.grid.cell_volumes).sum()
         assert abs(res.sum() + total_forcing) < 1e-10
 
@@ -104,13 +114,14 @@ class TestStackedStates:
         "one-sided-right", "weighted:0.75", "weighted:1"])
     def test_rows_equal_single_calls(self, strategy, n):
         p = make_problem(n=n, strategy=strategy, seed=n)
+        q = unpinned(p)
         rng = np.random.default_rng(n)
         ue = diffusion1d.exact_solution(p.grid.cell_centers)
         states = ue * (1.0 + 0.1 * rng.standard_normal((4, n)))
         stacked = {
             "gradient": recon.gradient_1d(p.grid, states),
             "closed": diffusion1d.residual_1d(p, states),
-            "open": diffusion1d.residual_1d(p, states, with_closure=False),
+            "open": diffusion1d.residual_1d(q, states),
         }
         assert all(a.shape == states.shape for a in stacked.values())
         for i, u in enumerate(states):
@@ -118,9 +129,8 @@ class TestStackedStates:
                                   recon.gradient_1d(p.grid, u))
             assert np.array_equal(stacked["closed"][i],
                                   diffusion1d.residual_1d(p, u))
-            assert np.array_equal(
-                stacked["open"][i],
-                diffusion1d.residual_1d(p, u, with_closure=False))
+            assert np.array_equal(stacked["open"][i],
+                                  diffusion1d.residual_1d(q, u))
 
 
 def reference_gradient(grid, u):
@@ -134,7 +144,7 @@ def reference_gradient(grid, u):
     return g
 
 
-def reference_residual(problem, u, with_closure=True):
+def reference_residual(problem, u):
     """Face fluxes from ``reference_gradient``, assembled into a zero-filled
     array: the reference for ``residual_1d``'s one-pass assembly."""
     d_j, d_k = problem.f_dist
@@ -151,8 +161,7 @@ def reference_residual(problem, u, with_closure=True):
     res[..., :-1] -= phi
     res[..., 1:] += phi
     res -= problem.source
-    if with_closure:
-        res[..., problem.pinned] = 0.0
+    res[..., problem.pinned] = 0.0
     return res
 
 
@@ -174,21 +183,24 @@ class TestAgainstReference:
             ref = reference_gradient(p.grid, u)
             assert got.shape == ref.shape
             assert np.array_equal(got, ref)
-            for closure in (True, False):
-                got = diffusion1d.residual_1d(p, u, with_closure=closure)
-                ref = reference_residual(p, u, with_closure=closure)
+            for q in (p, unpinned(p)):
+                got = diffusion1d.residual_1d(q, u)
+                ref = reference_residual(q, u)
                 assert got.shape == ref.shape
                 assert np.array_equal(got, ref)
 
 
 class TestClosure:
-    def test_boundary_closure_pins_exact_values(self):
+    def test_pin_writes_exact_into_pinned_cells_only(self):
         p = make_problem(n=9, seed=8)
-        u = diffusion1d.apply_boundary_closure(p, np.zeros(9))
+        assert np.array_equal(np.flatnonzero(p.pinned), [0, 8])
+        v = np.random.default_rng(8).uniform(-1.0, 1.0, 9)
+        u = v.copy()
+        assert p.pin(u) is u
         x = p.grid.cell_centers
         assert u[0] == diffusion1d.exact_solution(x[0])
         assert u[-1] == diffusion1d.exact_solution(x[-1])
-        assert np.all(u[1:-1] == 0.0)
+        assert u[1:-1].tobytes() == v[1:-1].tobytes()
 
     def test_initial_state_respects_boundaries(self):
         p = make_problem(n=13, seed=9)

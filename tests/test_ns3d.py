@@ -1,5 +1,6 @@
 """3D Navier-Stokes manufactured solution: oracles and residual structure."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -20,6 +21,14 @@ def small_mesh():
 @pytest.fixture(scope="module")
 def problem(small_mesh):
     return ns3d.NS3DProblem(small_mesh, Strategy.from_name("arithmetic"))
+
+
+def unpinned(problem):
+    """A copy of problem with no pinned cells: its residual is the raw
+    assembled one."""
+    q = copy.copy(problem)
+    q.pinned = np.zeros_like(problem.pinned)
+    return q
 
 
 class TestManufacturedState:
@@ -95,17 +104,21 @@ class TestForcingOracle:
 
 class TestResidual:
     def test_free_stream_preservation(self, problem, small_mesh):
+        # the face fluxes of a uniform state cancel: every unpinned cell's
+        # residual is minus its source alone
         w = np.tile([1.0, 0.3, 0.2, 0.1, 1.0], (small_mesh.n_cells, 1))
-        res = ns3d.residual_ns3d(problem, w, include_forcing=False)
-        assert np.abs(res).max() < 1e-13
+        res = ns3d.residual_ns3d(problem, w) + problem.source
+        assert np.abs(res[~problem.pinned]).max() < 1e-13
 
     def test_pinned_cells_zeroed(self, problem):
         res = ns3d.residual_ns3d(problem, problem.initial_state())
         assert np.abs(res[problem.pinned]).max() == 0.0
 
     def test_unclosed_residual_telescopes(self, problem, small_mesh):
+        # the raw residual, of a problem with no pinned cells, telescopes:
+        # its sum over all cells equals minus the total forcing
         w = ns3d.mms_state(small_mesh.cell_centroid)
-        res = ns3d.residual_ns3d(problem, w, with_closure=False)
+        res = ns3d.residual_ns3d(unpinned(problem), w)
         total_forcing = (problem.forcing
                          * small_mesh.cell_volume[:, None]).sum(axis=0)
         assert np.abs(res.sum(axis=0) + total_forcing).max() < 1e-10
@@ -133,6 +146,17 @@ class TestResidual:
         with pytest.raises((physics.NonpositiveTemperatureError,
                             physics.InvalidStateError)):
             ns3d.residual_ns3d(problem, w)
+
+    def test_pin_writes_exact_into_pinned_cells_only(self, problem,
+                                                     small_mesh):
+        assert np.array_equal(problem.pinned, small_mesh.boundary_cell)
+        assert problem.pinned.any() and not problem.pinned.all()
+        v = np.random.default_rng(5).uniform(0.5, 1.5, problem.exact.shape)
+        w = v.copy()
+        assert problem.pin(w) is w
+        assert np.array_equal(w[problem.pinned],
+                              problem.exact[problem.pinned])
+        assert w[~problem.pinned].tobytes() == v[~problem.pinned].tobytes()
 
     def test_initial_state_is_free_stream_with_pinned_exact(self, problem):
         w0 = problem.initial_state()

@@ -41,13 +41,20 @@ class TestDiffusion1DSolve:
         p = make_1d(n=13, seed=2)
         u, _ = solver.solve_diffusion_1d(
             p, solver.SolverConfig(target_drop=10.0))
-        fun = lambda v: diffusion1d.residual_1d(
-            p, diffusion1d.apply_boundary_closure(p, v))
-        ref = diffusion1d.apply_boundary_closure(
-            p, root(fun, diffusion1d.exact_solution(p.grid.cell_centers),
-                    method="hybr", tol=1e-13).x)
+        fun = lambda v: diffusion1d.residual_1d(p, p.pin(v.copy()))
+        ref = p.pin(root(fun, diffusion1d.exact_solution(p.grid.cell_centers),
+                         method="hybr", tol=1e-13).x)
         assert np.abs(fun(ref)).max() < 1e-9      # reference is a true root
         assert np.abs(u - ref).max() < 1e-7
+
+    def test_leaves_the_start_state_unchanged(self):
+        # the solve pins a copy of u0; these end cells are off their exact
+        # values, so pinning u0 itself would change them
+        p = make_1d(n=11, seed=4)
+        v = 1.05 * p.exact
+        keep = v.copy()
+        solver.solve_diffusion_1d(p, solver.SolverConfig(), u0=v)
+        assert v.tobytes() == keep.tobytes()
 
     def test_residual_meets_target_drop(self):
         p = make_1d(n=15, seed=3)
@@ -168,8 +175,7 @@ def dense_jacobian_1d(problem, u, cfl):
 def perturbed_state(problem, seed):
     rng = np.random.default_rng(seed)
     ue = diffusion1d.exact_solution(problem.grid.cell_centers)
-    return diffusion1d.apply_boundary_closure(
-        problem, ue * (1.0 + 0.1 * rng.standard_normal(ue.size)))
+    return problem.pin(ue * (1.0 + 0.1 * rng.standard_normal(ue.size)))
 
 
 class TestColoredJacobian1D:
@@ -420,7 +426,7 @@ class TestNewtonKrylov3D:
 
         def residual(x):
             return ns3d.residual_ns3d(
-                p, solver._pinned_prim(p, x.reshape(-1, 5))).ravel()
+                p, p.pin(physics.cons_to_prim(x.reshape(-1, 5)))).ravel()
 
         matvec = solver._matvec_ns3d(p, w, ns3d.residual_ns3d(p, w))
         pinned_rows = np.repeat(p.pinned, 5)
