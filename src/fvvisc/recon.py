@@ -1,12 +1,13 @@
 """Gradients and face-value reconstruction.
 
-Cell gradients come from an unweighted linear least-squares fit over
-face-adjacent neighbors (1D: central differences over cell centers).  Face
-values for viscous coefficients come from one of several strategies: each
-but inverse-distance is a two-point average with a left weight, second
-order only at weight 1/2.  Face gradients use the alpha-damped average of
-cell gradients with the fixed damping coefficient ALPHA = 4/3.  All
-operations are pure.
+Cell gradients come from an unweighted linear least-squares fit over the
+face neighbors, grown ring by ring where those leave the fit rank deficient
+(1D: central differences over cell centers).  Face values for viscous
+coefficients come from one of several strategies: each but
+inverse-distance is a two-point average with a left weight, second order
+only at weight 1/2.  Face gradients use the alpha-damped average of cell
+gradients with the fixed damping coefficient ALPHA = 4/3.  All operations
+are pure.
 
 Layout.  The 3D gradients and face kernels use per-variable rows: a state
 is (m, ...), a vector (3, ...) and a gradient (m, 3, ...), and the kernels
@@ -145,15 +146,15 @@ def gradient_1d(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 def _lsq_operator(mesh: Mesh3D):
     """Sparse gradient operators (Gx, Gy, Gz) such that grad_d = G_d @ field.
 
-    Stencil per cell: face-adjacent neighbors.  The neighbor lists come from
-    the interior faces by a stable sort on cell index, every (C, 3, 3) normal
-    matrix is accumulated at once and rank-tested by ``_full_rank``, and one
-    batched solve gives the weights of every full-rank cell.  The few
-    rank-deficient cells (possible only near boundaries on tet grids) are
-    built one by one: their stencils are augmented with neighbors-of-neighbors,
-    and SingularStencilError is raised if that does not give full rank.  The
-    diagonal entry is minus the row sum, so constants have zero gradient.
-    Cached on the mesh.
+    Stencil per cell: the smallest neighbor ring, up to ring 3, whose normal
+    matrix has full rank (only boundary cells of tet grids need more than
+    ring 1).  Ring 1 is the face neighbors in face order, from a stable sort
+    of the interior faces on cell index; ring k + 1 appends the neighbors of
+    ring k not yet in the stencil, in index order.  Each ring is one batch
+    over the cells still without weights: normal matrices by bincount, one
+    ``_full_rank`` test and one zero-padded batched solve.  A cell rank
+    deficient at ring 3 raises SingularStencilError.  The diagonal entry is
+    minus the row sum, so constants have zero gradient.  Cached on the mesh.
     """
     cached = mesh._lsq_cache.get("ops")
     if cached is not None:
@@ -167,38 +168,55 @@ def _lsq_operator(mesh: Mesh3D):
     nbr = np.column_stack((k, o)).ravel()
     order = np.argsort(cell, kind="stable")
     cell, nbr = cell[order], nbr[order]
-    count = np.bincount(cell, minlength=nc)
-    ptr = np.concatenate([[0], np.cumsum(count)])  # nbr[ptr[c]:ptr[c+1]]
-    slot = np.arange(cell.size) - ptr[cell]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=nc))])
 
     xc = mesh.cell_centroid
-    dx = xc[nbr] - xc[cell]                               # (E, 3)
-    g = np.empty((nc, 3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            g[:, a, b] = g[:, b, a] = np.bincount(
-                cell, dx[:, a] * dx[:, b], minlength=nc)
-    full = _full_rank(g)
+    rows, cols, data = [], [], []
+    # cells without weights (ascending) and their stencil edges (sc, sn)
+    pending, sc, sn = np.arange(nc), cell, nbr
+    for ring in range(3):
+        if ring:
+            # append each neighbor nbr[ptr[j]:ptr[j+1]] of a stencil member j
+            # that is neither the cell nor in its stencil; setdiff1d returns
+            # the (cell, neighbor) keys c * nc + m sorted
+            hops = np.diff(ptr)[sn]
+            hop = nbr[np.repeat(ptr[sn] - np.cumsum(hops) + hops, hops)
+                      + np.arange(hops.sum())]
+            key = np.setdiff1d(np.repeat(sc, hops) * nc + hop,
+                               np.append(sc * nc + sn, pending * (nc + 1)))
+            order = np.argsort(np.append(sc, key // nc), kind="stable")
+            sc = np.append(sc, key // nc)[order]
+            sn = np.append(sn, key % nc)[order]
+        local = np.searchsorted(pending, sc)
+        count = np.bincount(local, minlength=pending.size)
+        slot = np.arange(sc.size) - (np.cumsum(count) - count)[local]
+        dx = xc[sn] - xc[sc]                              # (E, 3)
+        g = np.empty((pending.size, 3, 3))
+        for a in range(3):
+            for b in range(a, 3):
+                g[:, a, b] = g[:, b, a] = np.bincount(
+                    local, dx[:, a] * dx[:, b], minlength=pending.size)
+        full = _full_rank(g)
 
-    # one solve per full-rank cell against its zero-padded (3, kmax) stencil
-    rhs = np.zeros((nc, 3, count.max(initial=0)))
-    rhs[cell, :, slot] = dx
-    w = np.zeros_like(rhs)
-    w[full] = np.linalg.solve(g[full], rhs[full])
-    on = full[cell]
-    diag = np.flatnonzero(full)
-    rows = [cell[on], diag]
-    cols = [nbr[on], diag]
-    data = [w[cell[on], :, slot[on]], -w[full].sum(axis=2)]
+        # one solve per full-rank cell, stencils zero-padded to (3, kmax)
+        rhs = np.zeros((pending.size, 3, count.max()))
+        rhs[local, :, slot] = dx
+        w = np.zeros_like(rhs)
+        w[full] = np.linalg.solve(g[full], rhs[full])
+        on = full[local]
+        rows += [sc[on], pending[full]]
+        cols += [sn[on], pending[full]]
+        data += [w[local[on], :, slot[on]], -w[full].sum(axis=2)]
+        pending, sc, sn = pending[~full], sc[~on], sn[~on]
+        if not pending.size:
+            break
+    else:
+        c = pending[0]
+        raise SingularStencilError(
+            f"cell {c}: least-squares stencil of size "
+            f"{np.count_nonzero(sc == c)} is rank deficient")
 
-    for c in np.flatnonzero(~full).tolist():
-        stencil, wc = _augmented_stencil(xc, nbr, ptr, c)
-        rows.append(np.full(len(stencil) + 1, c))
-        cols.append(np.append(stencil, c))
-        data.append(np.vstack([wc.T, -wc.sum(axis=1)]))
-
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    data = np.concatenate(data)
+    rows, cols, data = map(np.concatenate, (rows, cols, data))
     ops = tuple(sp.csr_matrix((data[:, d], (rows, cols)), shape=(nc, nc))
                 for d in range(3))
     mesh._lsq_cache["ops"] = ops
@@ -214,31 +232,6 @@ def _full_rank(g):
     """
     ev = np.linalg.eigvalsh(g)
     return ev[..., 0] > _RANK_TOL * ev[..., -1]
-
-
-def _augmented_stencil(xc, nbr, ptr, c):
-    """Augmented stencil and (3, k) weights of a rank-deficient cell.
-
-    The neighbors of cell j are nbr[ptr[j]:ptr[j+1]].  The face stencil,
-    already found rank deficient, grows by neighbors-of-neighbors, at most
-    twice, and each grown stencil is rank-tested once; SingularStencilError
-    if none has full rank or nothing can be added.
-    """
-    stencil = nbr[ptr[c]:ptr[c + 1]].tolist()
-    for _ in range(2):
-        extra = sorted({m for j in stencil
-                        for m in nbr[ptr[j]:ptr[j + 1]].tolist()}
-                       - {c} - set(stencil))
-        if not extra:
-            break
-        stencil = stencil + extra
-        dx = xc[stencil] - xc[c]
-        g = dx.T @ dx
-        if _full_rank(g):
-            return stencil, np.linalg.solve(g, dx.T)
-    raise SingularStencilError(
-        f"cell {c}: least-squares stencil of size {len(stencil)} "
-        "is rank deficient")
 
 
 def lsq_gradient_3d(mesh: Mesh3D, field: np.ndarray) -> np.ndarray:

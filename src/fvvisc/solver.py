@@ -60,18 +60,19 @@ class SolverConfig:
     """Termination and linear-solve parameters.
 
     ``target_drop`` is the number of orders of magnitude of L1 residual
-    reduction.  Only the 3D solve reads the other two: its GMRES
-    preconditioner is ``linear_sweeps`` sweeps of multicolor block
-    Gauss-Seidel on 5x5 cell blocks (0 solves directly), rebuilt every
-    ``jacobian_lag`` Newton steps.  They stay until the benchmark stops
-    passing them (ROADMAP item 5).  The 1D solve always factors directly
-    and rebuilds at every step attempt.
+    reduction.  Only the 3D solve reads the other two, and their defaults
+    are its values: its GMRES preconditioner is ``linear_sweeps`` sweeps of
+    multicolor block Gauss-Seidel on 5x5 cell blocks of a first-order
+    Jacobian (0 solves directly), rebuilt every ``jacobian_lag`` Newton
+    steps.  They stay until the benchmark stops passing them (ROADMAP item
+    5).  The 1D solve always factors directly and rebuilds at every step
+    attempt.
     """
 
     target_drop: float = 8.0
     max_iterations: int = 2000
-    linear_sweeps: int = 0
-    jacobian_lag: int = 1
+    linear_sweeps: int = 30
+    jacobian_lag: int = 8
 
     def __post_init__(self):
         if not 0 < self.target_drop < np.inf or self.max_iterations <= 0:
@@ -81,10 +82,8 @@ class SolverConfig:
             raise ValueError("jacobian_lag must be at least 1")
 
 
-#: 3D defaults: the preconditioner is 30 sweeps of multicolor block
-#: Gauss-Seidel on 5x5 cell blocks of a first-order Jacobian refreshed every
-#: 8 Newton steps, and a 7-order residual drop (see ``verify.run_study_3d``).
-NS3D_CONFIG = SolverConfig(target_drop=7.0, linear_sweeps=30, jacobian_lag=8)
+#: 3D defaults: a 7-order residual drop (see ``verify.run_study_3d``).
+NS3D_CONFIG = SolverConfig(target_drop=7.0)
 
 
 @dataclass

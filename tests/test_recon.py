@@ -174,24 +174,88 @@ class TestLsqOperatorAgainstPerCellBuild:
             recon._lsq_operator(pair)
 
 
-class TestAugmentedStencilRankTests:
-    def test_each_grown_stencil_is_rank_tested_once(self, monkeypatch):
-        # one batched test of every face stencil, then one test per
-        # rank-deficient cell: its face stencil is known deficient, and on
-        # this mesh a single growth gives every such cell full rank
-        m = mesh.generate_tet_mesh(3, perturbation=0.2, seed=13)
-        results = []
-        full_rank = recon._full_rank
+def _fan_mesh(cap=True):
+    """Five tets fanned around the edge (0,0,0)-(0,0,1), their rim vertices
+    on a half circle at z = 0.5, so every centroid lies at z = 0.5; ``cap``
+    adds a sixth tet on the middle tet's face (0, R2, R3), off that plane.
 
-        def counted(g):
-            results.append(full_rank(g))
-            return results[-1]
-        monkeypatch.setattr(recon, "_full_rank", counted)
-        recon._lsq_operator(m)
-        batched, per_cell = results[0], results[1:]
-        assert batched.shape == (m.n_cells,)
-        assert len(per_cell) == (~batched).sum() > 0
-        assert all(per_cell)
+    The fan's normal matrices all have rank 2 at most, so each end tet
+    needs the cap in its stencil: ring 1 is its neighbor, ring 2 the middle
+    tet, ring 3 the other side and the cap.
+    """
+    theta = np.linspace(0.0, np.pi, 6)
+    rim = np.column_stack([np.cos(theta), np.sin(theta), np.full(6, 0.5)])
+    vertices = np.vstack([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], rim,
+                          [0.0, 0.9, 0.0]])
+    cells = [[0, 2 + i, 3 + i, 1] for i in range(5)]
+    if cap:
+        cells.append([0, 5, 4, 8])
+    return mesh.build_mesh(vertices, np.array(cells))
+
+
+@pytest.fixture
+def rank_tests(monkeypatch):
+    """The (normal matrices, result) pair of every ``_full_rank`` call."""
+    calls = []
+    full_rank = recon._full_rank
+
+    def recorded(g):
+        calls.append((g, full_rank(g)))
+        return calls[-1][1]
+    monkeypatch.setattr(recon, "_full_rank", recorded)
+    return calls
+
+
+class TestStencilRings:
+    def test_end_cells_reach_full_rank_at_ring_3(self):
+        m = _fan_mesh()
+        assert np.all(m.cell_centroid[:5, 2] == 0.5)
+        ops = recon._lsq_operator(m)
+        assert ops[0][0].indices.tolist() == [0, 1, 2, 3, 5]
+        assert ops[0][4].indices.tolist() == [1, 2, 3, 4, 5]
+        for op, r in zip(ops, _reference_lsq_operator(m)):
+            assert np.array_equal(op.indptr, r.indptr)
+            assert np.array_equal(op.indices, r.indices)
+            assert np.abs(op.data - r.data).max() <= \
+                1e-13 * np.abs(r.data).max()
+        coef = np.array([0.7, -1.3, 2.1])
+        phi = m.cell_centroid @ coef - 0.4
+        for d, op in enumerate(ops):
+            assert np.abs(op @ phi - coef[d]).max() < 1e-12
+
+    def test_each_ring_is_one_rank_test(self, rank_tests):
+        recon._lsq_operator(_fan_mesh())
+        # rings 1-3 test cells 0-5, then 0, 1, 3, 4, 5, then the end tets
+        assert [r.tolist() for _, r in rank_tests] == [
+            [False, False, True, False, False, False],
+            [False, True, True, False, True], [True, True]]
+
+    def test_coplanar_stencil_raises_after_ring_3(self):
+        with pytest.raises(recon.SingularStencilError,
+                           match=r"^cell 0: .* size 3 is rank deficient"):
+            recon._lsq_operator(_fan_mesh(cap=False))
+
+
+class TestAugmentedStencilRankTests:
+    def test_each_grown_stencil_is_rank_tested_once(self, rank_tests):
+        # one batched rank test per ring: ring 1 tests every face stencil,
+        # ring 2 exactly the cells ring 1 found deficient, and on this mesh
+        # ring 2 gives every one of them full rank
+        m = mesh.generate_tet_mesh(3, perturbation=0.2, seed=13)
+        ops = recon._lsq_operator(m)
+        assert len(rank_tests) == 2
+        (_, ring1), (normals, ring2) = rank_tests
+        assert ring1.shape == (m.n_cells,)
+        assert ring2.shape == ((~ring1).sum(),) == (18,)
+        assert ring2.all()
+        # the second test holds the grown stencils of those cells, in order
+        grown = []
+        for c in np.flatnonzero(~ring1):
+            stencil = ops[0][c].indices
+            dx = m.cell_centroid[stencil[stencil != c]] - m.cell_centroid[c]
+            grown.append(dx.T @ dx)
+        assert np.abs(normals - grown).max() <= \
+            1e-14 * np.abs(grown).max()
 
 
 def _normal_matrices(m):

@@ -35,6 +35,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             solver.SolverConfig(jacobian_lag=0)
 
+    def test_a_3d_solve_from_the_defaults_is_the_ns3d_solve(self):
+        # only the drop sets NS3D_CONFIG apart: a default config with the
+        # 3D drop solves through the same preconditioner, not a direct LU
+        p = ns3d_problem(3, seed=31)
+        a, _ = solver.solve_ns3d(p, solver.SolverConfig(target_drop=7.0))
+        b, _ = solver.solve_ns3d(p, solver.NS3D_CONFIG)
+        assert np.array_equal(a, b)
+
 
 class TestDiffusion1DSolve:
     def test_converges_to_the_hybr_root(self):
