@@ -6,9 +6,9 @@ Configuration is layered with precedence CLI flag or --set > environment
 default, and a flag that sets a config key is parsed like its config-file
 value; the effective config is written next to the output so any run can be
 reproduced from its artifacts.  The studies and ``solve`` read
-``PROBLEMS``: per model problem, its config and solver defaults, smallest
-grid size, variables, order band, and how to run a study or build and
-solve one grid.
+``PROBLEMS``: per model problem, its config defaults, smallest grid size,
+variables, order band, and the library's study, grid generator, problem
+class and solver.
 Exit codes: 0 success, 1 a selftest check failed, 2 config error,
 3 solver non-convergence, 4 acceptance-band violation under
 --check-orders.
@@ -52,7 +52,7 @@ CONFIG_SCHEMA = {
     "strategies": ("str-list", ["lr-average", "inverse-distance",
                                 "arithmetic", "one-sided-left",
                                 "one-sided-right"]),
-    "perturbation": ("float", 0.3),
+    "perturbation": ("float", verify.PERTURBATION_1D),
     "seed": ("int", DEFAULT_SEED),
     "out_dir": ("str", "out"),
     "solver.target_drop": ("float", solver.SolverConfig.target_drop),
@@ -165,45 +165,30 @@ class Problem:
 
     defaults: dict          # config defaults over CONFIG_SCHEMA's
     min_size: int           # smallest grid size its generator accepts
-    solver_defaults: solver.SolverConfig
     var_names: tuple        # orders are checked on the first
     half_width: float       # --check-orders band around the nominal order
     study: Callable         # verify.run_study_*
-    build: Callable         # (cfg, strategy) -> problem
+    generate: Callable      # mesh.generate_*: (n, perturbation=, seed=)
+    model: Callable         # problem class: (grid, strategy) -> problem
     solve: Callable         # solver.solve_*
-
-
-def _build_1d(cfg, strategy):
-    grid = mesh.generate_grid_1d(cfg["grids"][0],
-                                 perturbation=cfg["perturbation"],
-                                 seed=cfg["seed"])
-    return diffusion1d.Diffusion1DProblem(grid, strategy)
-
-
-def _build_3d(cfg, strategy):
-    m = mesh.generate_tet_mesh(cfg["grids"][0],
-                               perturbation=cfg["perturbation"],
-                               seed=cfg["seed"])
-    return ns3d.NS3DProblem(m, strategy)
 
 
 PROBLEMS = {
     "diffusion1d": Problem(
         defaults={}, min_size=mesh.MIN_CELLS_1D,
-        solver_defaults=solver.SolverConfig(),
         var_names=verify.VAR_NAMES_1D, half_width=0.2,
-        study=verify.run_study_1d, build=_build_1d,
-        solve=solver.solve_diffusion_1d),
-    # Perturbation 0.1: the 1D default 0.3 inverts tets at n = 11.
+        study=verify.run_study_1d, generate=mesh.generate_grid_1d,
+        model=diffusion1d.Diffusion1DProblem, solve=solver.solve_diffusion_1d),
     "ns3d": Problem(
         defaults={"grids": list(verify.GRID_SIZES_3D),
                   "strategies": ["lr-average", "arithmetic",
                                  "inverse-distance"],
-                  "perturbation": 0.1,
+                  "perturbation": verify.PERTURBATION_3D,
                   "solver.target_drop": solver.NS3D_CONFIG.target_drop},
-        min_size=mesh.MIN_CELLS_3D, solver_defaults=solver.NS3D_CONFIG,
+        min_size=mesh.MIN_CELLS_3D,
         var_names=verify.VAR_NAMES_3D, half_width=0.3,
-        study=verify.run_study_3d, build=_build_3d, solve=solver.solve_ns3d),
+        study=verify.run_study_3d, generate=mesh.generate_tet_mesh,
+        model=ns3d.NS3DProblem, solve=solver.solve_ns3d),
 }
 
 
@@ -309,8 +294,8 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
                           f"command runs {problem}")
     try:
         strategies = recon.strategy_list(cfg["strategies"])
-        solver_cfg = dataclasses.replace(
-            entry.solver_defaults, target_drop=cfg["solver.target_drop"],
+        solver_cfg = solver.SolverConfig(
+            target_drop=cfg["solver.target_drop"],
             max_iterations=cfg["solver.max_iterations"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -350,7 +335,9 @@ def cmd_solve(args) -> int:
     cfg, strategies, solver_cfg = _prepare(args, problem, SOLVE_DEFAULTS,
                                            single=True)
     history_path = os.path.join(cfg["out_dir"], "history.csv")
-    built = entry.build(cfg, strategies[0])
+    built = entry.model(entry.generate(cfg["grids"][0],
+                                       perturbation=cfg["perturbation"],
+                                       seed=cfg["seed"]), strategies[0])
     try:
         u, history = entry.solve(built, solver_cfg)
     except solver.NonConvergenceError as exc:

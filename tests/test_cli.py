@@ -1,5 +1,8 @@
 """CLI: config layering, exit codes, artifacts, and order-band checks."""
 
+import dataclasses
+import inspect
+import os
 import pathlib
 import re
 import shlex
@@ -7,7 +10,7 @@ import shlex
 import numpy as np
 import pytest
 
-from fvvisc import cli, invariants, verify
+from fvvisc import cli, diffusion1d, invariants, mesh, ns3d, solver, verify
 from fvvisc.recon import Strategy
 from fvvisc.verify import ConvergenceRecord
 
@@ -491,6 +494,113 @@ class TestSolveArtifacts:
             solutions[name] = (out / "solution.csv").read_bytes()
         assert solutions["flat"] == solutions["flat-seed-7"]
         assert solutions["flat"] != solutions["perturbed"]
+
+
+def _study_row_errors(path, label):
+    """The l1_error strings of one grid label of a study CSV, per variable."""
+    rows = [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    return [row[5] for row in rows if row[1] == label]
+
+
+class TestSolveReproducesAStudyRow:
+    """README: level n of a study with seed s draws its grid with seed s + n,
+    so ``solve --grids n --seed s+n`` re-runs that row (every 3D row, and
+    the first 1D level, which is solved cold like ``solve``)."""
+
+    def _solve_errors(self, out, problem, generate, model, n, seed, strategy):
+        """L1 errors of ``solve``'s solution.csv at full precision."""
+        rc = cli.main(["solve", "--problem", problem,
+                       "--grids", str(n), "--seed", str(seed),
+                       "--strategies", strategy, "--out-dir", str(out)])
+        assert rc == cli.EXIT_OK
+        perturbation = cli.parse_config_file(
+            str(out / "effective_config.cfg"))["perturbation"]
+        built = model(generate(n, perturbation=perturbation, seed=seed),
+                      Strategy.from_name(strategy))
+        sol = np.loadtxt(out / "solution.csv", delimiter=",")
+        return ["%.10e" % e for e in verify.l1_error(sol, built.exact)]
+
+    def test_3d_row(self, tmp_path):
+        rc = cli.main(["study-3d", "--grids", "2,3", "--seed", "5",
+                       "--strategies", "arithmetic",
+                       "--out-dir", str(tmp_path / "study")])
+        assert rc == cli.EXIT_OK
+        row = _study_row_errors(tmp_path / "study" / "study-3d_arithmetic.csv",
+                                "n3")
+        assert len(row) == len(verify.VAR_NAMES_3D)
+        assert self._solve_errors(tmp_path / "solve", "ns3d",
+                                  mesh.generate_tet_mesh, ns3d.NS3DProblem,
+                                  3, 8, "arithmetic") == row
+
+    def test_first_1d_row(self, tmp_path):
+        strategies = ("arithmetic", "one-sided-left")
+        cli.main(["study-1d", "--grids", "7,11", "--seed", "5",
+                  "--strategies", ",".join(strategies),
+                  "--out-dir", str(tmp_path / "study")])
+        for name in strategies:
+            row = _study_row_errors(
+                tmp_path / "study" / f"study-1d_{name}.csv", "n7")
+            assert len(row) == 1
+            assert self._solve_errors(
+                tmp_path / name, "diffusion1d", mesh.generate_grid_1d,
+                diffusion1d.Diffusion1DProblem, 7, 12, name) == row
+
+
+class TestLibraryDefaults:
+    """With no run or solver key set, the CLI hands each problem the
+    library's own defaults: the study signature's grid sizes and
+    perturbation, and the solve's solver config."""
+
+    @pytest.fixture(autouse=True)
+    def no_layers(self, tmp_path, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(name)
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def _record(monkeypatch, problem, field):
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            if field == "study":
+                return {}
+            return args[0].exact, solver.IterationHistory()
+        monkeypatch.setitem(cli.PROBLEMS, problem, dataclasses.replace(
+            cli.PROBLEMS[problem], **{field: recorder}))
+        return calls
+
+    @pytest.mark.parametrize("command,problem,study,solver_cfg", [
+        ("study-1d", "diffusion1d", verify.run_study_1d,
+         solver.SolverConfig()),
+        ("study-1d-omega", "diffusion1d", verify.run_study_1d,
+         solver.SolverConfig()),
+        ("study-3d", "ns3d", verify.run_study_3d, solver.NS3D_CONFIG),
+    ])
+    def test_study(self, monkeypatch, command, problem, study, solver_cfg):
+        calls = self._record(monkeypatch, problem, "study")
+        assert cli.main([command]) == cli.EXIT_OK
+        [(_, kwargs)] = calls
+        defaults = inspect.signature(study).parameters
+        assert list(kwargs["sizes"]) == list(defaults["sizes"].default)
+        assert kwargs["perturbation"] == defaults["perturbation"].default
+        assert kwargs["solver_cfg"] == solver_cfg
+
+    @pytest.mark.parametrize("problem,study,solver_cfg", [
+        ("diffusion1d", verify.run_study_1d, solver.SolverConfig()),
+        ("ns3d", verify.run_study_3d, solver.NS3D_CONFIG),
+    ])
+    def test_solve(self, monkeypatch, problem, study, solver_cfg):
+        calls = self._record(monkeypatch, problem, "solve")
+        assert cli.main(["solve", "--problem", problem]) == cli.EXIT_OK
+        [((_, cfg), _)] = calls
+        assert cfg == solver_cfg
+        perturbation = cli.parse_config_file(
+            "out/effective_config.cfg")["perturbation"]
+        assert perturbation == \
+            inspect.signature(study).parameters["perturbation"].default
 
 
 class TestReadme:
