@@ -1,11 +1,11 @@
 """Command-line entry point binding key=value configs to studies.
 
 Subcommands: study-1d, study-1d-omega, study-3d, solve, selftest.
-Configuration is layered with precedence CLI flag or --set > environment
-(FVVISC_ prefix) > config file > problem and subcommand defaults > built-in
-default, and a flag that sets a config key is parsed like its config-file
-value; the effective config is written next to the output so any run can be
-reproduced from its artifacts.  The studies and ``solve`` read
+Configuration is layered with precedence CLI flag or --set > config file >
+problem and subcommand defaults > built-in default (environment variables
+set nothing), and a flag that sets a config key is parsed like its
+config-file value; the effective config is written next to the output so
+any run can be reproduced from its artifacts.  The studies and ``solve`` read
 ``PROBLEMS``: per model problem, its config defaults, smallest grid size,
 variables, order band, and the library's study, grid generator, problem
 class and solver.
@@ -33,8 +33,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_ORDER_BAND = 4
-
-ENV_PREFIX = "FVVISC_"
 
 #: Default seed for irregular-grid studies.  Each level draws its own node
 #: perturbation, so single-family orders are seed-sensitive.  This seed was
@@ -118,31 +116,14 @@ def parse_config_file(path: str) -> dict:
     return overrides
 
 
-def _env_overrides(environ) -> dict:
-    """FVVISC_SOLVER_MAX_ITERATIONS=... style environment overrides."""
-    by_env_name = {key.replace(".", "_").upper(): key
-                   for key in CONFIG_SCHEMA}
-    overrides = {}
-    for name, raw in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        key = by_env_name.get(name[len(ENV_PREFIX):])
-        if key is None:
-            raise ConfigError(f"unknown config key in environment: {name}")
-        overrides[key] = _parse_value(key, raw)
-    return overrides
-
-
 def build_config(cli_overrides: dict, config_path: str | None = None,
-                 subcommand_defaults: dict | None = None,
-                 environ=None) -> dict:
-    """Layer defaults < subcommand defaults < file < env < CLI."""
+                 subcommand_defaults: dict | None = None) -> dict:
+    """Layer defaults < subcommand defaults < file < CLI."""
     cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
     if subcommand_defaults:
         cfg.update(subcommand_defaults)
     if config_path is not None:
         cfg.update(parse_config_file(config_path))
-    cfg.update(_env_overrides(os.environ if environ is None else environ))
     cfg.update({k: v for k, v in cli_overrides.items() if v is not None})
     return cfg
 

@@ -5,9 +5,9 @@ face neighbors, grown ring by ring where those leave the fit rank deficient
 (1D: central differences over cell centers).  Face values for viscous
 coefficients come from one of several strategies: each but
 inverse-distance is a two-point average with a left weight, second order
-only at weight 1/2.  Face gradients use the alpha-damped average of cell
-gradients with the fixed damping coefficient ALPHA = 4/3.  All operations
-are pure.
+only at weight 1/2.  Face gradients add to the mean cell gradient a jump
+damped by ALPHA = 4/3 over |d_n| in 3D but over 2 dx in 1D, a factor of 2
+apart (see the two functions).  All operations are pure.
 
 Layout.  The 3D gradients and face kernels use per-variable rows: a state
 is (m, ...), a vector (3, ...) and a gradient (m, 3, ...), and the kernels
@@ -67,7 +67,12 @@ class Strategy:
         """Parse "arithmetic", "weighted:0.75", etc."""
         name = name.strip()
         if name.startswith("weighted:"):
-            return cls("weighted", float(name.split(":", 1)[1]))
+            try:
+                omega = float(name.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"strategy {name!r}: the weight after "
+                                 "'weighted:' must be a number") from None
+            return cls("weighted", omega)
         return cls(name)
 
     @property
@@ -263,7 +268,7 @@ def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, dn, nhat):
 
     grad: (m, d, ...); w: (m, ...); nhat: (d, ...) unit normal; dn: (...)
     the centroid distance (x_k - x_j) . nhat.  The damping scale is
-    ALPHA / |dn|.  Returns (m, d, ...).
+    ALPHA / |dn|, twice the 1D one.  Returns (m, d, ...).
     """
     if np.any(dn == 0.0):
         raise DegenerateGeometryError(
@@ -276,7 +281,7 @@ def alpha_damped_face_gradient(grad_j, grad_k, w_l, w_r, dn, nhat):
 def face_derivative_1d(gx_j, gx_k, u_l, u_r, dx_cells):
     """1D face derivative: (u_x)_f = (gx_j + gx_k)/2 + ALPHA/(2 dx) (u_R - u_L).
 
-    dx_cells is the cell-center spacing x_{j+1} - x_j.
+    dx_cells is the cell-center spacing x_{j+1} - x_j (half the 3D scale).
     """
     return 0.5 * (gx_j + gx_k) + ALPHA / (2.0 * dx_cells) * (u_r - u_l)
 

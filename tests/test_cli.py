@@ -2,7 +2,6 @@
 
 import dataclasses
 import inspect
-import os
 import pathlib
 import re
 import shlex
@@ -30,7 +29,7 @@ REMOVED_KEYS = ("omegas", "alpha", "flow.mach", "flow.reynolds", "flow.t_ref",
 
 class TestConfigParsing:
     def test_defaults(self):
-        cfg = cli.build_config({}, environ={})
+        cfg = cli.build_config({})
         assert cfg["problem"] == "diffusion1d"
         assert cfg["grids"] == list(verify.GRID_SIZES_1D)
         assert cfg["seed"] == cli.DEFAULT_SEED
@@ -40,23 +39,18 @@ class TestConfigParsing:
         path.write_text("# comment line\n"
                         "grids = 7,11,15   # trailing comment\n"
                         "solver.target_drop = 6.5\n")
-        cfg = cli.build_config({}, str(path), environ={})
+        cfg = cli.build_config({}, str(path))
         assert cfg["grids"] == [7, 11, 15]
         assert cfg["solver.target_drop"] == 6.5
 
-    def test_env_overrides_file(self, tmp_path):
+    def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\n")
-        cfg = cli.build_config({}, str(path),
-                               environ={"FVVISC_SEED": "2"})
-        assert cfg["seed"] == 2
-
-    def test_cli_overrides_env(self):
-        cfg = cli.build_config({"seed": 3}, environ={"FVVISC_SEED": "2"})
+        cfg = cli.build_config({"seed": 3}, str(path))
         assert cfg["seed"] == 3
 
     def test_none_cli_values_do_not_override(self):
-        cfg = cli.build_config({"seed": None}, environ={})
+        cfg = cli.build_config({"seed": None})
         assert cfg["seed"] == cli.DEFAULT_SEED
 
     def test_unknown_file_key_raises(self, tmp_path):
@@ -81,16 +75,22 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_config_file("/nonexistent/run.cfg")
 
-    def test_unknown_env_key_raises(self):
-        with pytest.raises(cli.ConfigError):
-            cli.build_config({}, environ={"FVVISC_BOGUS": "1"})
+    def test_the_environment_does_not_configure_a_run(self, tmp_path,
+                                                      monkeypatch):
+        # FVVISC_* variables set nothing, whether or not they name a key
+        monkeypatch.setenv("FVVISC_SEED", "5")
+        monkeypatch.setenv("FVVISC_BOGUS", "1")
+        rc = cli.main(["study-1d", "--grids", "7,11",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
+        assert f"seed = {cli.DEFAULT_SEED}" in cfg
 
     def test_effective_config_roundtrip(self, tmp_path):
-        cfg = cli.build_config({"grids": [7, 11]},
-                               environ={"FVVISC_PERTURBATION": "0.2"})
+        cfg = cli.build_config({"grids": [7, 11], "perturbation": 0.2})
         path = tmp_path / "effective_config.cfg"
         cli.write_effective_config(cfg, str(path))
-        reparsed = cli.build_config({}, str(path), environ={})
+        reparsed = cli.build_config({}, str(path))
         assert reparsed == cfg
 
 
@@ -164,8 +164,8 @@ class TestMainExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: unknown config key {key!r}"]
 
-    def test_removed_key_is_unknown_in_every_layer(
-            self, tmp_path, capsys, monkeypatch):
+    def test_removed_key_is_unknown_in_every_layer(self, tmp_path, capsys):
+        # --set is the other layer (test_removed_key_is_unknown)
         path = tmp_path / "run.cfg"
         path.write_text("alpha = 1.5\n")
         rc = cli.main(["study-1d", "--config", str(path),
@@ -173,12 +173,6 @@ class TestMainExitCodes:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: {path}:1: unknown config key 'alpha'"]
-        monkeypatch.setenv("FVVISC_FLOW_MACH", "0.2")
-        rc = cli.main(["study-1d", "--out-dir", str(tmp_path)])
-        assert rc == cli.EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["config error: unknown config key in environment: "
-                       "FVVISC_FLOW_MACH"]
         assert not (tmp_path / "effective_config.cfg").exists()
 
     @pytest.mark.parametrize("argv,message", [
@@ -216,6 +210,12 @@ class TestMainExitCodes:
         (["study-1d-omega", "--strategies", "weighted:0.1234567",
           "--grids", "7,11"], "omega 0.1234567 prints as "
          "weighted:0.123457"),
+        (["study-1d-omega", "--strategies", "weighted:abc", "--grids", "7,11"],
+         "strategy 'weighted:abc': the weight after 'weighted:' must be a "
+         "number"),
+        (["study-1d", "--strategies", "arithmetic,weighted:",
+          "--grids", "7,11"], "strategy 'weighted:': the weight after "
+         "'weighted:' must be a number"),
     ])
     def test_malformed_run_value_exits_2(self, tmp_path, capsys, argv,
                                          message):
@@ -226,20 +226,18 @@ class TestMainExitCodes:
         assert err[0].startswith(f"config error: {message}")
         assert not (tmp_path / "effective_config.cfg").exists()
 
-    @pytest.mark.parametrize("argv,env,config,message", [
-        (["--grids", "7,11,15"], {}, "", "grids, got 7,11,15"),
-        (["--problem", "ns3d", "--grids", "3,5"], {}, "", "grids, got 3,5"),
-        (["--strategies", "arithmetic,lr-average"], {}, "",
+    @pytest.mark.parametrize("argv,config,message", [
+        (["--grids", "7,11,15"], "", "grids, got 7,11,15"),
+        (["--problem", "ns3d", "--grids", "3,5"], "", "grids, got 3,5"),
+        (["--strategies", "arithmetic,lr-average"], "",
          "strategies, got arithmetic,lr-average"),
-        ([], {"FVVISC_GRIDS": "7,11"}, "", "grids, got 7,11"),
-        ([], {}, "strategies = arithmetic,lr-average\n",
+        (["--set", "grids=7,11"], "", "grids, got 7,11"),
+        ([], "strategies = arithmetic,lr-average\n",
          "strategies, got arithmetic,lr-average"),
-    ], ids=["grids-flag", "ns3d-grids-flag", "strategies-flag", "environment",
+    ], ids=["grids-flag", "ns3d-grids-flag", "strategies-flag", "set",
             "config-file"])
     def test_solve_takes_one_size_and_one_strategy(
-            self, tmp_path, capsys, monkeypatch, argv, env, config, message):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+            self, tmp_path, capsys, argv, config, message):
         if config:
             path = tmp_path / "run.cfg"
             path.write_text(config)
@@ -250,21 +248,19 @@ class TestMainExitCodes:
         assert err == [f"config error: solve takes one value of {message}"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv,env,config,message", [
-        ([], {}, "seed =\n", "bad value for seed"),
-        ([], {}, "perturbation =\n", "bad value for perturbation"),
-        ([], {}, "strategies =\n", "no strategies given"),
-        ([], {}, "solver.target_drop =\n", "bad value for solver.target_drop"),
-        ([], {}, "out_dir =\n", "out_dir is empty"),
-        (["--out-dir", ""], {}, "", "out_dir is empty"),
-        ([], {"FVVISC_OUT_DIR": ""}, "", "out_dir is empty"),
+    @pytest.mark.parametrize("argv,config,message", [
+        ([], "seed =\n", "bad value for seed"),
+        ([], "perturbation =\n", "bad value for perturbation"),
+        ([], "strategies =\n", "no strategies given"),
+        ([], "solver.target_drop =\n", "bad value for solver.target_drop"),
+        ([], "out_dir =\n", "out_dir is empty"),
+        (["--out-dir", ""], "", "out_dir is empty"),
+        (["--set", "out_dir="], "", "out_dir is empty"),
     ], ids=["seed", "perturbation", "strategies", "solver.target_drop",
-            "out_dir", "out-dir-flag", "out-dir-environment"])
+            "out_dir", "out-dir-flag", "out-dir-set"])
     def test_empty_value_exits_2(self, tmp_path, capsys, monkeypatch, argv,
-                                 env, config, message):
+                                 config, message):
         monkeypatch.chdir(tmp_path)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         if config:
             (tmp_path / "run.cfg").write_text(config)
             argv = [*argv, "--config", "run.cfg"]
@@ -319,15 +315,14 @@ class TestMainExitCodes:
                        "finite, and max_iterations positive"]
         assert not (tmp_path / "effective_config.cfg").exists()
 
-    @pytest.mark.parametrize("layer", ["environment", "config-file"])
-    def test_study_rejects_another_problem(self, tmp_path, capsys,
-                                           monkeypatch, layer):
+    @pytest.mark.parametrize("layer", ["set", "config-file"])
+    def test_study_rejects_another_problem(self, tmp_path, capsys, layer):
         # the effective config would record ns3d for a 1D study, and
         # reparsing it with solve --config would run a 3D solve
         argv = ["study-1d", "--grids", "7,11", "--strategies", "arithmetic",
                 "--out-dir", str(tmp_path / "out")]
-        if layer == "environment":
-            monkeypatch.setenv("FVVISC_PROBLEM", "ns3d")
+        if layer == "set":
+            argv += ["--set", "problem=ns3d"]
         else:
             path = tmp_path / "run.cfg"
             path.write_text("problem = ns3d\n")
@@ -353,11 +348,12 @@ class TestMainExitCodes:
                        "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_OK
 
-    def test_omega_sweep_takes_strategies_from_the_environment(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FVVISC_STRATEGIES", "arithmetic")
+    def test_omega_sweep_takes_strategies_from_the_config_file(
+            self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("strategies = arithmetic\n")
         rc = cli.main(["study-1d-omega", "--grids", "7,11",
-                       "--out-dir", str(tmp_path)])
+                       "--config", str(path), "--out-dir", str(tmp_path)])
         assert rc == cli.EXIT_OK
         tables = {p.name for p in tmp_path.glob("study-1d_*.csv")}
         assert tables == {"study-1d_arithmetic.csv", "study-1d_summary.csv"}
@@ -448,17 +444,19 @@ class TestSolveArtifacts:
         assert hist[2].startswith("reference,")
         assert not any(r.startswith("reference,") for r in hist[3:])
 
-    @pytest.mark.parametrize("argv,env,perturbation", [
-        (["--grids", "11"], {}, "0.1"),
-        (["--grids", "3", "--perturbation", "0.05"], {}, "0.05"),
-        (["--grids", "3"], {"FVVISC_PERTURBATION": "0.05"}, "0.05"),
-    ])
+    @pytest.mark.parametrize("argv,config,perturbation", [
+        (["--grids", "11"], "", "0.1"),
+        (["--grids", "3", "--perturbation", "0.05"], "", "0.05"),
+        (["--grids", "3"], "perturbation = 0.05\n", "0.05"),
+    ], ids=["default", "flag", "config-file"])
     def test_solve_ns3d_defaults_to_the_ns3d_perturbation(
-            self, tmp_path, monkeypatch, argv, env, perturbation):
+            self, tmp_path, argv, config, perturbation):
         # the 1D default 0.3 inverts tets at n = 11 (a config error, exit 2);
         # a set perturbation is taken as set at any size
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+        if config:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
         rc = cli.main(["solve", "--problem", "ns3d", *argv,
                        "--set", "solver.max_iterations=1",
                        "--set", "solver.target_drop=12",
@@ -554,9 +552,6 @@ class TestLibraryDefaults:
 
     @pytest.fixture(autouse=True)
     def no_layers(self, tmp_path, monkeypatch):
-        for name in list(os.environ):
-            if name.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(name)
         monkeypatch.chdir(tmp_path)
 
     @staticmethod
@@ -618,6 +613,13 @@ class TestReadme:
             except SystemExit:
                 pytest.fail("README command does not parse: fvvisc "
                             + shlex.join(argv))
+
+
+    def test_configuration_lists_the_config_keys(self):
+        # the Configuration paragraph names exactly the keys the CLI reads
+        listed = re.search(r"There are \w+ keys: (.*?);", README.read_text(),
+                           re.S).group(1)
+        assert re.findall(r"`([^`]+)`", listed) == list(cli.CONFIG_SCHEMA)
 
 
 class TestSelftest:

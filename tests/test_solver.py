@@ -17,7 +17,7 @@ def make_1d(n=11, strategy="arithmetic", seed=0):
     return diffusion1d.Diffusion1DProblem(g, Strategy.from_name(strategy))
 
 
-#: The errors of a step that leaves the physical state space.
+#: The errors of a 3D step that leaves the physical state space.
 STEP_ERRORS = [solver.SolverDivergenceError, FloatingPointError,
                physics.InvalidStateError, physics.NonpositiveTemperatureError]
 
@@ -129,19 +129,18 @@ class TestDiffusion1DSolve:
         assert len(lines) == 2 + len(hist.iterations)
 
     def test_repeated_rejection_names_the_reason(self):
+        # a state that is not finite leaves a residual that is not finite
         p = make_1d(n=9, seed=1)
-
-        def reject(u, du):
-            raise solver.SolverDivergenceError("no physical state")
-
         with pytest.raises(solver.NonConvergenceError,
-                           match="rejected 12 times.*no physical state"):
-            solver.solve_defect_correction(p, p.initial_state(), reject,
-                                           solver.SolverConfig())
+                           match="rejected 12 times.*last: residual rose "
+                                 "from 1 to nan"):
+            solver.solve_defect_correction(
+                p, p.initial_state(), lambda u, du: np.full_like(u, np.nan),
+                solver.SolverConfig())
 
-    @pytest.mark.parametrize("error", STEP_ERRORS)
-    def test_each_step_error_cuts_the_cfl(self, monkeypatch, error):
-        # every error of a step off the physical state space is a
+    @pytest.mark.parametrize("scale", [np.nan, 1e3], ids=["nan", "rise"])
+    def test_each_rejected_step_cuts_the_cfl(self, monkeypatch, scale):
+        # a residual that is not finite or has risen 2.5-fold is a
         # rejection: the CFL falls 4-fold per attempt, floored at 1e-3
         p = make_1d(n=9, seed=1)
         cfls = []
@@ -151,14 +150,12 @@ class TestDiffusion1DSolve:
             cfls.append(cfl)
             return build(problem, u, cfl, **kwargs)
 
-        def reject(u, du):
-            raise error("off the state space")
-
         monkeypatch.setattr(solver, "_jacobian_1d", jacobian)
         with pytest.raises(solver.NonConvergenceError,
-                           match=f"rejected 12 times.*{error.__name__}"):
-            solver.solve_defect_correction(p, p.initial_state(), reject,
-                                           solver.SolverConfig())
+                           match="rejected 12 times.*last: residual rose"):
+            solver.solve_defect_correction(
+                p, p.initial_state(), lambda u, du: p.pin(scale * u),
+                solver.SolverConfig())
         assert cfls == [max(10.0 / 4.0 ** k, 1e-3) for k in range(12)]
 
 
@@ -532,16 +529,18 @@ class TestNewtonKrylov3D:
             solver.solve_ns3d(p)
         assert len(steps) == 1
 
-    def test_an_update_no_damping_makes_physical_is_rejected(
+    def test_an_update_that_leaves_the_physical_states_is_rejected(
             self, monkeypatch):
-        # 25 halvings leave a step of -1e12 still far below zero density
+        # an update of -1.5 times the conserved state leaves -0.5 times it,
+        # negative densities that one halving would have made positive
         p = ns3d_problem(3, seed=31)
+        u = physics.prim_to_cons(p.exact).ravel()
         monkeypatch.setattr(solver, "_krylov_step",
-                            lambda matvec, precond, rhs:
-                            np.full(rhs.size, -1e12))
+                            lambda matvec, precond, rhs: -1.5 * u)
         with pytest.raises(solver.NonConvergenceError,
                            match="Newton step rejected: SolverDivergenceError"
-                                 ": no damping"):
+                                 ": the Newton update leaves the physical "
+                                 "states"):
             solver.solve_ns3d(p)
 
     def test_a_residual_rise_is_rejected(self, monkeypatch):
