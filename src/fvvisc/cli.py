@@ -1,9 +1,10 @@
 """Command-line entry point binding key=value configs to studies.
 
 Subcommands: study-1d, study-1d-omega, study-3d, solve, selftest.
-Configuration is layered with precedence CLI flag or --set > config file >
-problem and subcommand defaults > built-in default (environment variables
-set nothing), and a flag that sets a config key is parsed like its
+Each run layers its configuration once (``_prepare``): --set > CLI flag >
+config file > problem and subcommand defaults > built-in default
+(environment variables set nothing).  Config-file lines and --set pairs
+share one key=value splitter, and a flag value is parsed like its
 config-file value; the effective config is written next to the output so
 any run can be reproduced from its artifacts.  The studies and ``solve`` read
 ``PROBLEMS``: per model problem, its config defaults, smallest grid size,
@@ -94,6 +95,17 @@ def _format_value(key: str, value) -> str:
     return str(value)
 
 
+def _split_setting(text: str, where: str = "") -> tuple:
+    """(key, raw value) of one config-file line or --set pair; ``where``
+    (``path:line: `` for a file line) prefixes its errors."""
+    if "=" not in text:
+        raise ConfigError(f"{where}expected key=value, got {text!r}")
+    key, raw = (s.strip() for s in text.split("=", 1))
+    if key not in CONFIG_SCHEMA:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    return key, raw
+
+
 def parse_config_file(path: str) -> dict:
     """Parse a key=value config file (# comments, dotted nested keys)."""
     overrides = {}
@@ -104,28 +116,10 @@ def parse_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, "
-                              f"got {line!r}")
-        key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _parse_value(key, raw)
+        if line:
+            key, raw = _split_setting(line, f"{path}:{lineno}: ")
+            overrides[key] = _parse_value(key, raw)
     return overrides
-
-
-def build_config(cli_overrides: dict, config_path: str | None = None,
-                 subcommand_defaults: dict | None = None) -> dict:
-    """Layer defaults < subcommand defaults < file < CLI."""
-    cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
-    if subcommand_defaults:
-        cfg.update(subcommand_defaults)
-    if config_path is not None:
-        cfg.update(parse_config_file(config_path))
-    cfg.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return cfg
 
 
 def write_effective_config(cfg: dict, path: str) -> None:
@@ -259,20 +253,30 @@ def _check_run_values(cfg: dict, entry: Problem, single: bool) -> None:
                           + _format_value("grids", grids))
 
 
-def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
-    """Layered config, strategies and solver config of one problem run,
-    validated before the effective config is written.  ``run_defaults``
-    override the problem's defaults (OMEGA_STRATEGIES, SOLVE_DEFAULTS);
-    ``single`` allows one grid size and one strategy only.  A layered
-    ``problem`` other than the one that runs is rejected, so the effective
-    config never records a problem it did not run."""
-    entry = PROBLEMS[problem]
-    cfg = build_config(_cli_overrides(args), args.config,
-                       {"problem": problem, **entry.defaults,
-                        **run_defaults})
-    if cfg["problem"] != problem:
+def _prepare(args, problem: str | None, run_defaults: dict,
+             single: bool = False):
+    """``PROBLEMS`` entry, layered config, strategies and solver config of
+    one problem run, validated before the effective config is written.
+    The flags and --set pairs, then the --config file, are parsed once and
+    layered over the problem's defaults and ``run_defaults``
+    (OMEGA_STRATEGIES, SOLVE_DEFAULTS).  The problem is the command's own,
+    or (``problem=None``, solve) the layered one; a layered ``problem``
+    other than the one that runs is rejected, so the effective config never
+    records a problem it did not run.  ``single`` allows one grid size and
+    one strategy only."""
+    layered = _cli_overrides(args)
+    if args.config is not None:
+        layered = {**parse_config_file(args.config), **layered}
+    name = problem or layered.get("problem", CONFIG_SCHEMA["problem"][1])
+    if name not in PROBLEMS:
+        raise ConfigError(f"unknown problem {name!r}; "
+                          f"valid: {', '.join(PROBLEMS)}")
+    entry = PROBLEMS[name]
+    cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+    cfg.update({"problem": name, **entry.defaults, **run_defaults, **layered})
+    if cfg["problem"] != name:
         raise ConfigError(f"problem = {cfg['problem']} is set, but this "
-                          f"command runs {problem}")
+                          f"command runs {name}")
     try:
         strategies = recon.strategy_list(cfg["strategies"])
         solver_cfg = solver.SolverConfig(
@@ -287,15 +291,14 @@ def _prepare(args, problem: str, run_defaults: dict, single: bool = False):
                                                  "effective_config.cfg"))
     except OSError as exc:
         raise ConfigError(f"cannot write to out_dir: {exc}") from exc
-    return cfg, strategies, solver_cfg
+    return entry, cfg, strategies, solver_cfg
 
 
 def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
     """Convergence study of one problem; an omega sweep whose strategies
     are all second order is checked in the tighter band +/-0.1 (the
     paper's central claim)."""
-    entry = PROBLEMS[problem]
-    cfg, strategies, solver_cfg = _prepare(
+    entry, cfg, strategies, solver_cfg = _prepare(
         args, problem, {"strategies": OMEGA_STRATEGIES} if omega_sweep else {})
     records = entry.study(
         strategies, sizes=cfg["grids"], perturbation=cfg["perturbation"],
@@ -308,13 +311,8 @@ def cmd_study(args, problem: str, omega_sweep: bool = False) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem = build_config(_cli_overrides(args), args.config)["problem"]
-    if problem not in PROBLEMS:
-        raise ConfigError(f"unknown problem {problem!r}; "
-                          f"valid: {', '.join(PROBLEMS)}")
-    entry = PROBLEMS[problem]
-    cfg, strategies, solver_cfg = _prepare(args, problem, SOLVE_DEFAULTS,
-                                           single=True)
+    entry, cfg, strategies, solver_cfg = _prepare(args, None, SOLVE_DEFAULTS,
+                                                  single=True)
     history_path = os.path.join(cfg["out_dir"], "history.csv")
     built = entry.model(entry.generate(cfg["grids"][0],
                                        perturbation=cfg["perturbation"],
@@ -357,16 +355,12 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cli_overrides(args) -> dict:
-    """Config values of the given flags and --set pairs (--set wins)."""
+    """Config values of the given flags and --set pairs, kept raw until the
+    last pair is read: --set wins over a flag in either order, and a flag
+    it overrides is never parsed."""
     raw = {key: getattr(args, key.replace(".", "_"), None)
            for key in CONFIG_SCHEMA}
-    for pair in args.set or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = (s.strip() for s in pair.split("=", 1))
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        raw[key] = value
+    raw.update(_split_setting(pair) for pair in args.set or [])
     return {key: _parse_value(key, value) for key, value in raw.items()
             if value is not None}
 

@@ -210,8 +210,8 @@ _GMRES_RESTART = 60
 _GMRES_MAXITER = 10
 
 #: Errors of a 3D Newton step that leaves the physical state space.
-_STEP_ERRORS = (SolverDivergenceError, FloatingPointError,
-                physics.InvalidStateError, physics.NonpositiveTemperatureError)
+_STEP_ERRORS = (SolverDivergenceError, physics.InvalidStateError,
+                physics.NonpositiveTemperatureError)
 
 
 def _krylov_step(matvec, precond, rhs):
@@ -357,27 +357,17 @@ def _band_pattern_1d(n):
     return band
 
 
-def _fd_step_1d(u):
-    """Difference step of each column, 1e-7 max(1, |u_j|)."""
-    return 1e-7 * np.maximum(1.0, np.abs(u))
-
-
-def _colored_states_1d(u, step):
-    """u stacked on its colored perturbations: row 0 is u, row 1 + c
-    perturbs columns c, c+5, c+10, ... by their difference steps ``step``
-    (5 colors, fewer when n < 5)."""
+def _evaluate_1d(problem, u):
+    """(difference steps, stacked residual) of state u.  Each column's step
+    is 1e-7 max(1, |u_j|); the residual is that of u stacked on its colored
+    perturbations: row 0 is u, row 1 + c perturbs columns c, c+5, c+10, ...
+    by their steps (5 colors, fewer when n < 5)."""
+    step = 1e-7 * np.maximum(1.0, np.abs(u))
     n = u.size
     states = np.empty((1 + min(_COLORS_1D, n), n))
     states[...] = u
     states.reshape(-1)[_band_pattern_1d(n).scatter] = u + step
-    return states
-
-
-def _evaluate_1d(problem, u):
-    """(difference steps, stacked residual) of state u: the residual of
-    ``_colored_states_1d``, whose row 0 is the residual of u itself."""
-    step = _fd_step_1d(u)
-    return step, diffusion1d.residual_1d(problem, _colored_states_1d(u, step))
+    return step, diffusion1d.residual_1d(problem, states)
 
 
 def _jacobian_1d(problem, u, cfl, evaluated=None, out=None):
@@ -387,7 +377,7 @@ def _jacobian_1d(problem, u, cfl, evaluated=None, out=None):
     Columns c, c+5, c+10, ... are perturbed together: a residual row reads
     only u[i-2..i+2], so no row sees two columns of one color, and 5 colors
     (fewer when n < 5) recover every entry of the band.  The base state and
-    the perturbed states (``_colored_states_1d``) go through one stacked
+    the perturbed states (``_evaluate_1d``) go through one stacked
     evaluation of the residual, which is elementwise, so each entry is
     bit-identical to the per-column difference with the same step
     1e-7 max(1, |u_j|).  ``evaluated`` is the (steps, stacked residual) pair

@@ -28,30 +28,45 @@ REMOVED_KEYS = ("omegas", "alpha", "flow.mach", "flow.reynolds", "flow.t_ref",
 
 
 class TestConfigParsing:
-    def test_defaults(self):
-        cfg = cli.build_config({})
+    @staticmethod
+    def _layered(tmp_path, monkeypatch, *argv, config=""):
+        """The effective config a ``study-1d`` run writes, with its study
+        stubbed out; ``config`` is the text of its --config file."""
+        monkeypatch.setitem(cli.PROBLEMS, "diffusion1d", dataclasses.replace(
+            cli.PROBLEMS["diffusion1d"], study=lambda *args, **kwargs: {}))
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        assert cli.main(["study-1d", *argv, "--out-dir", str(out)]) \
+            == cli.EXIT_OK
+        return cli.parse_config_file(str(out / "effective_config.cfg"))
+
+    def test_defaults(self, tmp_path, monkeypatch):
+        cfg = self._layered(tmp_path, monkeypatch)
         assert cfg["problem"] == "diffusion1d"
         assert cfg["grids"] == list(verify.GRID_SIZES_1D)
         assert cfg["seed"] == cli.DEFAULT_SEED
 
-    def test_file_overrides_defaults(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# comment line\n"
-                        "grids = 7,11,15   # trailing comment\n"
-                        "solver.target_drop = 6.5\n")
-        cfg = cli.build_config({}, str(path))
+    def test_file_overrides_defaults(self, tmp_path, monkeypatch):
+        cfg = self._layered(tmp_path, monkeypatch,
+                            config="# comment line\n"
+                                   "grids = 7,11,15   # trailing comment\n"
+                                   "solver.target_drop = 6.5\n")
         assert cfg["grids"] == [7, 11, 15]
         assert cfg["solver.target_drop"] == 6.5
 
-    def test_cli_overrides_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("seed = 1\n")
-        cfg = cli.build_config({"seed": 3}, str(path))
+    def test_cli_overrides_file(self, tmp_path, monkeypatch):
+        cfg = self._layered(tmp_path, monkeypatch, "--seed", "3",
+                            config="seed = 1\n")
         assert cfg["seed"] == 3
 
-    def test_none_cli_values_do_not_override(self):
-        cfg = cli.build_config({"seed": None})
-        assert cfg["seed"] == cli.DEFAULT_SEED
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "3", "--set", "seed=4"], ["--set", "seed=4", "--seed", "3"],
+    ], ids=["flag-first", "set-first"])
+    def test_set_wins_over_the_dedicated_flag(self, tmp_path, monkeypatch,
+                                              argv):
+        assert self._layered(tmp_path, monkeypatch, *argv)["seed"] == 4
 
     def test_unknown_file_key_raises(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -86,12 +101,21 @@ class TestConfigParsing:
         cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
         assert f"seed = {cli.DEFAULT_SEED}" in cfg
 
-    def test_effective_config_roundtrip(self, tmp_path):
-        cfg = cli.build_config({"grids": [7, 11], "perturbation": 0.2})
-        path = tmp_path / "effective_config.cfg"
-        cli.write_effective_config(cfg, str(path))
-        reparsed = cli.build_config({}, str(path))
-        assert reparsed == cfg
+    def test_each_run_parses_its_layers_once(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("parse_config_file", "_cli_overrides"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, _fn=fn, _name=name:
+                                calls.append(_name) or _fn(*args))
+        path = tmp_path / "one.cfg"
+        path.write_text("seed = 5\n")
+        for command, grids in (("solve", "7"), ("study-1d", "7,11")):
+            rc = cli.main([command, "--grids", grids,
+                           "--strategies", "arithmetic", "--config", str(path),
+                           "--out-dir", str(tmp_path / command)])
+            assert rc == cli.EXIT_OK
+            assert sorted(calls) == ["_cli_overrides", "parse_config_file"]
+            calls.clear()
 
 
 class TestCheckOrders:
@@ -464,6 +488,25 @@ class TestSolveArtifacts:
         assert rc == cli.EXIT_NONCONVERGENCE
         cfg = (tmp_path / "effective_config.cfg").read_text().splitlines()
         assert f"perturbation = {perturbation}" in cfg
+
+    def test_solve_takes_its_problem_from_the_config_file(self, tmp_path):
+        # with no --problem flag, the file's problem brings ns3d's defaults,
+        # and the effective config re-runs the same solve
+        path = tmp_path / "run.cfg"
+        path.write_text("problem = ns3d\ngrids = 3\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        rc = cli.main(["solve", "--config", str(path),
+                       "--out-dir", str(first)])
+        assert rc == cli.EXIT_OK
+        cfg = (first / "effective_config.cfg").read_text().splitlines()
+        assert "perturbation = 0.1" in cfg
+        assert "solver.target_drop = 7.0" in cfg
+        rc = cli.main(["solve", "--config",
+                       str(first / "effective_config.cfg"),
+                       "--out-dir", str(again)])
+        assert rc == cli.EXIT_OK
+        for name in ("solution.csv", "history.csv"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
     @pytest.mark.parametrize("problem", ["diffusion1d", "ns3d"])
     def test_solve_defaults_to_one_size_and_one_strategy(self, tmp_path,
